@@ -13,7 +13,6 @@ from .errors import (
 from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, Seed
 from .simulate import (
     apply_mask,
-    binomial_thinning,
     simulate_bar1,
     simulate_markov_mask,
     simulate_poi_inar1,
@@ -29,7 +28,6 @@ from .moments import (
     falling_factorial,
     lag0_mixed_factorial,
     poisson_factorial_moment,
-    raw_from_factorial,
     sample_factorial_moments,
     stirling2,
 )
@@ -61,6 +59,7 @@ from .asymptotics import (
     skew_asym_poisson_markov,
 )
 from .diagnostics import (
+    INDEX_KINDS,
     FittedParams,
     NullSpec,
     TestReport,

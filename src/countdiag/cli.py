@@ -12,7 +12,7 @@ import numpy as np
 from .errors import CountDiagError
 from .series import Bar1, MissingSpec, PoiInar1, Seed
 from .simulate import apply_mask, simulate_bar1, simulate_markov_mask, simulate_poi_inar1
-from .diagnostics import NullSpec, TestReport, test_index
+from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_index
 from .harness import (
     emit_curves,
     format_grid_table,
@@ -68,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--quiet", action="store_true", help="suppress the table printout")
 
     cur = sub.add_parser("curves", help="emit T-fold variance/bias curve tables")
-    cur.add_argument("--index", required=True,
-                     choices=["poisson-dispersion", "binomial-dispersion",
-                              "poisson-skewness", "binomial-skewness"])
+    cur.add_argument("--index", required=True, choices=list(INDEX_KINDS))
     cur.add_argument("--rho", type=float, default=0.5)
     cur.add_argument("--r", default="0,0.3,0.6", help="comma separated r values")
     cur.add_argument("--tau-min", type=float, default=0.25)

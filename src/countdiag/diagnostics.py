@@ -1,13 +1,15 @@
-"""Index estimators, null-model parameter fitting under missingness, and the
-marginal dispersion/skewness hypothesis tests."""
+"""The index-kind table (estimator, closed form and CSV prefix of each index),
+null-model parameter fitting under missingness, and the marginal
+dispersion/skewness hypothesis tests."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Callable, Optional
 
+import numpy as np
 from scipy.stats import norm
 
 from .errors import DegenerateSeriesError, ParameterError
@@ -15,7 +17,10 @@ from .series import CountSeries
 from .moments import sample_factorial_moments
 from .missingness import dr_acf, estimate_r, estimate_tau
 from .asymptotics import (
-    IndexAsymptotics,
+    KIND_BIN_DISPERSION,
+    KIND_BIN_SKEWNESS,
+    KIND_POI_DISPERSION,
+    KIND_POI_SKEWNESS,
     bin_dispersion_asym_markov,
     poi_dispersion_asym_markov,
     skew_asym_binomial_markov,
@@ -108,11 +113,7 @@ class TestReport:
 
 def index_poi_dispersion(series: CountSeries) -> float:
     """Sample dispersion index for unbounded counts: muhat_(2)/muhat - muhat + 1."""
-    ms = sample_factorial_moments(series, 2)
-    mu = ms.muhat[0]
-    if mu <= 0:
-        raise DegenerateSeriesError("all observed counts are zero")
-    return float(ms.muhat[1] / mu - mu + 1.0)
+    return _index_value(series, KIND_POI_DISPERSION)
 
 
 def index_bin_dispersion(series: CountSeries, n: int) -> float:
@@ -123,24 +124,114 @@ def index_bin_dispersion(series: CountSeries, n: int) -> float:
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    ms = sample_factorial_moments(series, 2)
-    mu = ms.muhat[0]
-    if not 0.0 < mu < n:
-        raise DegenerateSeriesError(
-            f"observed mean {mu} must lie strictly between 0 and n={n}"
-        )
-    return float((ms.muhat[1] + mu - mu**2) / (mu * (1.0 - mu / n)))
+    return _index_value(series, KIND_BIN_DISPERSION, n)
 
 
 def index_skew(series: CountSeries) -> float:
     """Sample skewness index muhat_(3) / (muhat_(2) muhat)."""
-    ms = sample_factorial_moments(series, 3)
-    mu, m2, m3 = ms.muhat
-    if mu <= 0:
-        raise DegenerateSeriesError("all observed counts are zero")
-    if m2 <= 0:
-        raise DegenerateSeriesError("all observed counts are <= 1; skewness undefined")
-    return float(m3 / (m2 * mu))
+    return _index_value(series, KIND_POI_SKEWNESS)
+
+
+def _index_value(series: CountSeries, kind: str, n: Optional[int] = None) -> float:
+    """One series' index by the table's formula; raises where a batch gets NaN."""
+    spec = INDEX_KINDS[kind]
+    muhat = sample_factorial_moments(series, spec.order).muhat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, conditions = spec.formula(muhat, n)
+    for ok, message in conditions:
+        if not ok:
+            raise DegenerateSeriesError(message.format(mu=muhat[0], n=n))
+    return float(value)
+
+
+# Index formulas over factorial moments mu[k-1] (scalars, or one entry per
+# series) and the bound n, each with the conditions under which it is defined.
+_ALL_ZERO = "all observed counts are zero"
+
+
+def _poisson_dispersion(mu, n):
+    return mu[1] / mu[0] - mu[0] + 1.0, [(mu[0] > 0, _ALL_ZERO)]
+
+
+def _binomial_dispersion(mu, n):
+    m1 = mu[0]
+    inside = (m1 > 0) & (m1 < n), "observed mean {mu} must lie strictly between 0 and n={n}"
+    return (mu[1] + m1 - m1 * m1) / (m1 * (1.0 - m1 / n)), [inside]
+
+
+def _skewness(mu, n):
+    undefined = "all observed counts are <= 1; skewness undefined"
+    return mu[2] / (mu[1] * mu[0]), [(mu[0] > 0, _ALL_ZERO), (mu[1] > 0, undefined)]
+
+
+@dataclass(frozen=True)
+class IndexKind:
+    """One index of one null family: its estimator, closed form and CSV columns.
+
+    ``statistic(series, n)`` is the public one-series estimator and ``markov(
+    marginal, rho, tau, r, T)`` the Markov closed form.  Both look up their
+    module-level target when called, so a wrapper installed on it (a profiler,
+    the benchmark's tracer) sees every call.
+    """
+
+    family: str
+    index: str
+    prefix: str  # column prefix in grid CSVs
+    order: int  # highest factorial moment the formula reads
+    formula: Callable
+    statistic: Callable
+    markov: Callable
+
+    def estimate(self, muhat, n: Optional[int] = None) -> np.ndarray:
+        """The index for each entry of the moments ``muhat[k-1]``; NaN where undefined."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, conditions = self.formula(muhat, n)
+        return np.where(np.logical_and.reduce([ok for ok, _ in conditions]), value, np.nan)
+
+
+class _KindTable(dict):
+    def __missing__(self, kind):
+        raise ParameterError(f"unknown index kind {kind!r}")
+
+
+#: The index-kind table, keyed by "<family>-<index>"; an unknown key raises
+#: ParameterError.
+INDEX_KINDS = _KindTable({
+    KIND_POI_DISPERSION: IndexKind(
+        FAMILY_POISSON, INDEX_DISPERSION, "disp", 2, _poisson_dispersion,
+        statistic=lambda series, n: index_poi_dispersion(series),
+        markov=lambda p, *dep: poi_dispersion_asym_markov(*p, *dep),
+    ),
+    KIND_BIN_DISPERSION: IndexKind(
+        FAMILY_BINOMIAL, INDEX_DISPERSION, "disp", 2, _binomial_dispersion,
+        statistic=lambda series, n: index_bin_dispersion(series, int(n)),
+        markov=lambda p, *dep: bin_dispersion_asym_markov(*p, *dep),
+    ),
+    KIND_POI_SKEWNESS: IndexKind(
+        FAMILY_POISSON, INDEX_SKEWNESS, "skew", 3, _skewness,
+        statistic=lambda series, n: index_skew(series),
+        markov=lambda p, *dep: skew_asym_poisson_markov(*p, *dep),
+    ),
+    KIND_BIN_SKEWNESS: IndexKind(
+        FAMILY_BINOMIAL, INDEX_SKEWNESS, "skew", 3, _skewness,
+        statistic=lambda series, n: index_skew(series),
+        markov=lambda p, *dep: skew_asym_binomial_markov(*p, *dep),
+    ),
+})
+
+
+def family_kinds(family: str) -> tuple:
+    """The index kinds of one family, dispersion first."""
+    return tuple(k for k, spec in INDEX_KINDS.items() if spec.family == family)
+
+
+def marginal_params(family: str, mu: float, n: Optional[int] = None) -> tuple:
+    """The closed forms' marginal parameters from mean and bound: (mu,) or (n, mu / n)."""
+    if family == FAMILY_POISSON:
+        return (mu,)
+    if n is None or int(n) < 2:
+        raise ParameterError("binomial family requires an upper bound n >= 2")
+    return (int(n), mu / n)
 
 
 def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParams:
@@ -152,6 +243,8 @@ def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParam
     warning when outside, since the closed-form asymptotics assume
     non-negative dependence.
     """
+    if series.T < 2:
+        raise DegenerateSeriesError(f"series too short to fit: T={series.T}, need T >= 2")
     ms = sample_factorial_moments(series, 1)
     mu = float(ms.muhat[0])
     tau = estimate_tau(series.mask)
@@ -181,21 +274,6 @@ def _clamp_dependence(value: float, name: str) -> float:
     return value
 
 
-def _asymptotics_for(
-    kind: str, family: str, mu: float, rho: float, tau: float, r: float, T: int,
-    n: Optional[int],
-) -> IndexAsymptotics:
-    if kind == INDEX_DISPERSION:
-        if family == FAMILY_POISSON:
-            return poi_dispersion_asym_markov(mu, rho, tau, r, T)
-        return bin_dispersion_asym_markov(int(n), mu / n, rho, tau, r, T)
-    if kind == INDEX_SKEWNESS:
-        if family == FAMILY_POISSON:
-            return skew_asym_poisson_markov(mu, rho, tau, r, T)
-        return skew_asym_binomial_markov(int(n), mu / n, rho, tau, r, T)
-    raise ParameterError(f"unknown index kind {kind!r}")
-
-
 def test_from_params(
     kind: str,
     family: str,
@@ -218,9 +296,8 @@ def test_from_params(
     """
     if sided not in ("two", "upper", "lower"):
         raise ParameterError(f"sided must be 'two', 'upper' or 'lower', got {sided!r}")
-    if family == FAMILY_BINOMIAL and (n is None or int(n) < 2):
-        raise ParameterError("binomial family requires an upper bound n >= 2")
-    asym = _asymptotics_for(kind, family, mu, rho, tau, r, T, n)
+    marginal = marginal_params(family, mu, n)
+    asym = INDEX_KINDS[f"{family}-{kind}"].markov(marginal, rho, tau, r, T)
     z = norm.ppf(1.0 - alpha / 2.0)
     center = asym.null_value + asym.bias
     lower = center - z * asym.sd
@@ -258,20 +335,19 @@ def test_index(
     compares the sample index against critical values from the matching
     closed-form asymptotics.  With ``null.ignore_missing`` the masked
     positions are dropped first and the dependence parameter is re-estimated
-    on the compacted series.
+    on the compacted series.  A binomial null rejects observed counts above n.
     """
-    if kind not in (INDEX_DISPERSION, INDEX_SKEWNESS):
-        raise ParameterError(f"unknown index kind {kind!r}")
+    spec = INDEX_KINDS[f"{null.family}-{kind}"]
+    if null.family == FAMILY_BINOMIAL:
+        above = np.flatnonzero((series.mask == 1) & (series.values > null.n))
+        if above.size:
+            raise ParameterError(
+                f"observed count {series.values[above[0]]} at position {above[0]} (0-based) "
+                f"exceeds the binomial bound n={null.n}; {above.size} observed counts do"
+            )
     work = series.compact() if null.ignore_missing else series
     fitted = fit_null_params(work, n=null.n)
-    if kind == INDEX_DISPERSION:
-        statistic = (
-            index_poi_dispersion(work)
-            if null.family == FAMILY_POISSON
-            else index_bin_dispersion(work, int(null.n))
-        )
-    else:
-        statistic = index_skew(work)
+    statistic = spec.statistic(work, null.n)
     return test_from_params(
         kind,
         null.family,

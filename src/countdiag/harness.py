@@ -9,34 +9,22 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CountDiagError, CsvFormatError, DegenerateSeriesError, ParameterError
 from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1
-from .simulate import _markov_mask_from_uniforms
-from .asymptotics import (
-    IndexAsymptotics,
-    KIND_BIN_DISPERSION,
-    KIND_BIN_SKEWNESS,
-    KIND_POI_DISPERSION,
-    KIND_POI_SKEWNESS,
-    bin_dispersion_asym_markov,
-    poi_dispersion_asym_markov,
-    skew_asym_binomial_markov,
-    skew_asym_poisson_markov,
-)
+from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
+from .moments import factorial_moments
+from .asymptotics import IndexAsymptotics
+from .diagnostics import INDEX_KINDS, family_kinds, marginal_params
 
 #: Replications are simulated in vectorized chunks of this many paths; each
 #: chunk owns an independent random stream derived from (master seed,
 #: scenario key, chunk index), so any scenario reproduces its grid row
 #: exactly and results do not depend on the worker count.
 DEFAULT_CHUNK = 2048
-
-_POISSON_KINDS = (KIND_POI_DISPERSION, KIND_POI_SKEWNESS)
-_BINOMIAL_KINDS = (KIND_BIN_DISPERSION, KIND_BIN_SKEWNESS)
 
 
 @dataclass(frozen=True)
@@ -55,7 +43,7 @@ class Scenario:
             raise ParameterError(f"T must be >= 1, got {self.T}")
         if self.replications < 1:
             raise ParameterError(f"replications must be >= 1, got {self.replications}")
-        allowed = _POISSON_KINDS if isinstance(self.model, PoiInar1) else _BINOMIAL_KINDS
+        allowed = family_kinds(self.model.family)
         if self.indices is not None:
             bad = [k for k in self.indices if k not in allowed]
             if bad:
@@ -65,7 +53,7 @@ class Scenario:
     def index_kinds(self) -> tuple:
         if self.indices is not None:
             return tuple(self.indices)
-        return _POISSON_KINDS if isinstance(self.model, PoiInar1) else _BINOMIAL_KINDS
+        return family_kinds(self.model.family)
 
     def key(self) -> str:
         m = self.model
@@ -106,58 +94,10 @@ def _chunk_seed_sequence(master_seed: int, key: str, chunk_index: int):
     )
 
 
-def _poisson_paths(mu: float, rho: float, T: int, count: int, rng) -> np.ndarray:
-    x = rng.poisson(mu, size=count)
-    out = np.empty((count, T), dtype=np.int64)
-    out[:, 0] = x
-    if T > 1:
-        eps = rng.poisson(mu * (1.0 - rho), size=(count, T - 1))
-        for t in range(1, T):
-            x = rng.binomial(x, rho) + eps[:, t - 1]
-            out[:, t] = x
-    return out
-
-
-def _binomial_paths(n: int, pi: float, rho: float, T: int, count: int, rng) -> np.ndarray:
-    alpha = pi * (1.0 - rho) + rho
-    beta = pi * (1.0 - rho)
-    x = rng.binomial(n, pi, size=count)
-    out = np.empty((count, T), dtype=np.int64)
-    out[:, 0] = x
-    for t in range(1, T):
-        x = rng.binomial(x, alpha) + rng.binomial(n - x, beta)
-        out[:, t] = x
-    return out
-
-
 def _index_estimates(values, mask, kinds, n=None) -> dict:
-    """Vectorized index estimates per replication row; NaN marks a degenerate one."""
-    o = mask.astype(np.float64)
-    x = np.where(mask == 1, values, 0).astype(np.float64)
-    n_obs = o.sum(axis=1)
-    any_obs = n_obs > 0
-    safe = np.where(any_obs, n_obs, 1.0)
-    m1 = (o * x).sum(axis=1) / safe
-    f2 = x * (x - 1.0)
-    m2 = (o * f2).sum(axis=1) / safe
-    m3 = (o * (f2 * (x - 2.0))).sum(axis=1) / safe
-
-    out = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for kind in kinds:
-            if kind == KIND_POI_DISPERSION:
-                ok = any_obs & (m1 > 0)
-                est = np.where(ok, m2 / np.where(ok, m1, 1.0) - m1 + 1.0, np.nan)
-            elif kind == KIND_BIN_DISPERSION:
-                ok = any_obs & (m1 > 0) & (m1 < n)
-                den = np.where(ok, m1 * (1.0 - m1 / n), 1.0)
-                est = np.where(ok, (m2 + m1 - m1**2) / den, np.nan)
-            else:  # skewness, either family
-                ok = any_obs & (m1 > 0) & (m2 > 0)
-                den = np.where(ok, m2 * m1, 1.0)
-                est = np.where(ok, m3 / den, np.nan)
-            out[kind] = est
-    return out
+    """Index estimates per replication row; NaN marks a degenerate one."""
+    muhat = factorial_moments(values, mask, max(INDEX_KINDS[k].order for k in kinds))
+    return {kind: INDEX_KINDS[kind].estimate(muhat, n) for kind in kinds}
 
 
 def _run_chunk(scenario: Scenario, chunk_index: int, size: int) -> dict:
@@ -194,17 +134,8 @@ def _chunk_plan(replications: int, chunk_size: int):
 
 def scenario_asymptotics(scenario: Scenario, kind: str) -> IndexAsymptotics:
     """Closed-form asymptotics matching one scenario's true parameters."""
-    m = scenario.model
-    tau, r, T = scenario.missing.tau, scenario.missing.r, scenario.T
-    if kind == KIND_POI_DISPERSION:
-        return poi_dispersion_asym_markov(m.mu, m.rho, tau, r, T)
-    if kind == KIND_POI_SKEWNESS:
-        return skew_asym_poisson_markov(m.mu, m.rho, tau, r, T)
-    if kind == KIND_BIN_DISPERSION:
-        return bin_dispersion_asym_markov(m.n, m.pi, m.rho, tau, r, T)
-    if kind == KIND_BIN_SKEWNESS:
-        return skew_asym_binomial_markov(m.n, m.pi, m.rho, tau, r, T)
-    raise ParameterError(f"unknown index kind {kind!r}")
+    m, missing = scenario.model, scenario.missing
+    return INDEX_KINDS[kind].markov(m.marginal, m.rho, missing.tau, missing.r, scenario.T)
 
 
 def _aggregate(scenario: Scenario, chunk_results: Sequence[dict]) -> ScenarioResult:
@@ -369,9 +300,6 @@ def run_grid(
     return results
 
 
-_ROW_PREFIX = {"dispersion": "disp", "skewness": "skew"}
-
-
 def result_rows(results: Sequence[ScenarioResult]) -> list:
     """Flatten scenario results to one dict per scenario."""
     rows = []
@@ -379,9 +307,9 @@ def result_rows(results: Sequence[ScenarioResult]) -> list:
         s = res.scenario
         m = s.model
         row = {
-            "family": "poisson" if isinstance(m, PoiInar1) else "binomial",
+            "family": m.family,
             "n": m.n if isinstance(m, Bar1) else "",
-            "mu": m.mu if isinstance(m, PoiInar1) else m.mean,
+            "mu": m.mean,
             "rho": m.rho,
             "tau": s.missing.tau,
             "r": s.missing.r,
@@ -389,7 +317,7 @@ def result_rows(results: Sequence[ScenarioResult]) -> list:
             "replications": s.replications,
         }
         for kind, stat in res.stats.items():
-            prefix = _ROW_PREFIX[kind.split("-", 1)[1]]
+            prefix = INDEX_KINDS[kind].prefix
             row[f"{prefix}_sim_mean"] = stat.sim_mean
             row[f"{prefix}_sim_sd"] = stat.sim_sd
             row[f"{prefix}_asym_mean"] = stat.asym_mean
@@ -460,23 +388,12 @@ def emit_curves(
     taus = np.asarray(taus, dtype=np.float64)
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
-    if kind in (KIND_BIN_DISPERSION, KIND_BIN_SKEWNESS):
-        if n is None or n < 2:
-            raise ParameterError(f"{kind} curves require an upper bound n >= 2")
-        pi = mu / n
-    elif kind not in (KIND_POI_DISPERSION, KIND_POI_SKEWNESS):
-        raise ParameterError(f"unknown index kind {kind!r}")
+    spec = INDEX_KINDS[kind]
+    marginal = marginal_params(spec.family, mu, n)
     rows = []
     for r in r_values:
         for tau in taus:
-            if kind == KIND_POI_DISPERSION:
-                asym = poi_dispersion_asym_markov(mu, rho, float(tau), float(r), 1)
-            elif kind == KIND_POI_SKEWNESS:
-                asym = skew_asym_poisson_markov(mu, rho, float(tau), float(r), 1)
-            elif kind == KIND_BIN_DISPERSION:
-                asym = bin_dispersion_asym_markov(n, pi, rho, float(tau), float(r), 1)
-            else:
-                asym = skew_asym_binomial_markov(n, pi, rho, float(tau), float(r), 1)
+            asym = spec.markov(marginal, rho, float(tau), float(r), 1)
             rows.append(
                 {
                     "index": kind,
@@ -524,28 +441,23 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
     """Read a count series from a one-observation-per-row CSV file.
 
     The last column holds the counts (an optional leading index column is
-    ignored), an optional header row is skipped, and a literal NA token or an
-    empty field marks a missing observation.
+    ignored), and a literal NA token or an empty field marks a missing
+    observation.  The first row is a header, and skipped, only if its last
+    field is neither a number, NA nor empty; quoted fields are unquoted first.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise CsvFormatError(f"{path}: empty file")
     na_set = {token.strip() for token in na_values}
-
-    def value_field(line: str) -> str:
-        return line.split(",")[-1].strip()
-
+    with open(path, newline="", encoding="utf-8") as f:
+        fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
+    if not fields:
+        raise CsvFormatError(f"{path}: empty file")
     start = 0
-    first = value_field(lines[0])
-    if first != "" and first not in na_set:
+    if fields[0] != "" and fields[0] not in na_set:
         try:
-            float(first)
+            float(fields[0])
         except ValueError:
             start = 1  # header row
     values, mask = [], []
-    for i, line in enumerate(lines[start:], start=start + 1):
-        field = value_field(line)
+    for i, field in enumerate(fields[start:], start=start + 1):
         if field == "" or field in na_set:
             values.append(0)
             mask.append(0)

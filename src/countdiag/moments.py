@@ -69,30 +69,36 @@ class MomentSummary:
     n_observed: int
     tauhat: float
 
-    def factorial(self, k: int) -> float:
-        if not 1 <= k <= self.m:
-            raise ParameterError(f"order {k} outside computed range 1..{self.m}")
-        return float(self.muhat[k - 1])
+
+def factorial_moments(values, mask, m: int) -> np.ndarray:
+    """Sample factorial moments of orders 1..m of each row of (..., T) values.
+
+    Only mask-1 positions are read: the k-th moment of a row, ``muhat[k-1]``,
+    is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with nothing observed.
+    """
+    if m < 1:
+        raise ParameterError(f"max order must be >= 1, got {m}")
+    observed = mask == 1
+    x = np.where(observed, values, 0).astype(np.float64)
+    n_obs = observed.sum(axis=-1)
+    muhat = np.empty((m,) + n_obs.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            fk = fk * (x - k) if k else x
+            muhat[k] = fk.sum(axis=-1) / n_obs
+    return muhat
 
 
 def sample_factorial_moments(series: CountSeries, m: int) -> MomentSummary:
     """Estimate factorial moments from the observed positions only.
 
-    The k-th estimate is sum_t O_t * (X_t)_(k) / sum_t O_t, so unobserved
-    positions contribute nothing to either numerator or denominator.
+    The one-series view of :func:`factorial_moments`: unobserved positions
+    contribute nothing to either numerator or denominator.
     """
-    if m < 1:
-        raise ParameterError(f"max order must be >= 1, got {m}")
     n_obs = series.n_observed
     if n_obs == 0:
         raise DegenerateSeriesError("series has no observed positions")
-    o = series.mask.astype(np.float64)
-    x = np.where(series.mask == 1, series.values, 0).astype(np.float64)
-    muhat = np.empty(m)
-    fk = np.ones_like(x)
-    for k in range(1, m + 1):
-        fk = fk * (x - (k - 1))
-        muhat[k - 1] = float((o * fk).sum()) / n_obs
+    muhat = factorial_moments(series.values, series.mask, m)
     return MomentSummary(m=m, muhat=muhat, n_observed=n_obs, tauhat=n_obs / series.T)
 
 
@@ -209,19 +215,6 @@ def stirling2(j: int, k: int) -> int:
     if k == 0 or k > j:
         return 0
     return k * stirling2(j - 1, k) + stirling2(j - 1, k - 1)
-
-
-def raw_from_factorial(factorial_moments) -> np.ndarray:
-    """Convert factorial moments mu_(1..m) to raw moments mu_1..mu_m.
-
-    Uses mu_j = sum_k S(j, k) mu_(k) with Stirling numbers of the second kind.
-    """
-    fact = np.asarray(factorial_moments, dtype=np.float64)
-    m = fact.size
-    raw = np.empty(m)
-    for j in range(1, m + 1):
-        raw[j - 1] = sum(stirling2(j, k) * fact[k - 1] for k in range(1, j + 1))
-    return raw
 
 
 class PoissonArMoments:

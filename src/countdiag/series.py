@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -93,6 +93,8 @@ class PoiInar1:
     mu: float
     rho: float
 
+    family: ClassVar[str] = "poisson"
+
     def __post_init__(self):
         if not self.mu > 0:
             raise ParameterError(f"mu must be positive, got {self.mu}")
@@ -108,6 +110,10 @@ class PoiInar1:
     def mean(self) -> float:
         return self.mu
 
+    @property
+    def marginal(self) -> tuple:
+        return (self.mu,)
+
 
 @dataclass(frozen=True)
 class Bar1:
@@ -121,6 +127,8 @@ class Bar1:
     n: int
     pi: float
     rho: float
+
+    family: ClassVar[str] = "binomial"
 
     def __post_init__(self):
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
@@ -147,6 +155,10 @@ class Bar1:
     @property
     def mean(self) -> float:
         return self.n * self.pi
+
+    @property
+    def marginal(self) -> tuple:
+        return (self.n, self.pi)
 
 
 ModelSpec = Union[PoiInar1, Bar1]

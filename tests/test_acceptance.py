@@ -44,8 +44,8 @@ from countdiag import (
     skew_asym_poisson_markov,
 )
 from countdiag import test_from_params as params_report
-from countdiag.harness import _index_estimates, _poisson_paths
-from countdiag.simulate import _markov_mask_from_uniforms
+from countdiag.harness import _index_estimates
+from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 from conftest import (
     GRID_LENGTHS,

@@ -98,6 +98,13 @@ class TestDiagnoseCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_counts_above_n_is_error(self, tmp_path, capsys):
+        series = tmp_path / "above.csv"
+        series.write_text("x\n3\n9\n5\n12\n4\n")
+        rc = main(["diagnose", "--input", str(series), "--null", "binomial", "--n", "8"])
+        assert rc == 2
+        assert "count 9 at position 1" in capsys.readouterr().err
+
 
 class TestMcCommand:
     def test_small_grid(self, tmp_path, capsys):

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countdiag import (
+    INDEX_KINDS,
     Bar1,
+    CountDiagError,
     CountSeries,
     DegenerateSeriesError,
     MissingSpec,
@@ -24,6 +27,14 @@ from countdiag import (
 )
 from countdiag import test_from_params as run_test_from_params
 from countdiag import test_index as run_test_index
+from countdiag.asymptotics import (
+    KIND_BIN_DISPERSION,
+    KIND_BIN_SKEWNESS,
+    KIND_POI_DISPERSION,
+    KIND_POI_SKEWNESS,
+)
+from countdiag.cli import build_parser
+from countdiag.harness import _index_estimates
 
 
 class TestIndexEstimators:
@@ -70,7 +81,70 @@ class TestIndexEstimators:
         assert index_skew(series) == pytest.approx(1.0, abs=0.02)
 
 
+def _masked_rows(n_max):
+    """(R, T) values and masks; some rows fully masked or all zero."""
+    return st.integers(1, 5).flatmap(
+        lambda R: st.integers(1, 12).flatmap(
+            lambda T: st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.lists(st.integers(0, n_max), min_size=T, max_size=T),
+                        st.just([0] * T),
+                    ),
+                    min_size=R, max_size=R,
+                ),
+                st.lists(
+                    st.one_of(
+                        st.lists(st.integers(0, 1), min_size=T, max_size=T),
+                        st.just([0] * T),
+                        st.just([1] * T),
+                    ),
+                    min_size=R, max_size=R,
+                ),
+            )
+        )
+    )
+
+
+class TestBatchedEstimator:
+    @settings(max_examples=150, deadline=None)
+    @given(_masked_rows(12), st.sampled_from(["poisson", "binomial"]))
+    def test_rows_equal_single_series_calls(self, rows, family):
+        values, mask = (np.array(a, dtype=np.int64) for a in rows)
+        n = 10 if family == "binomial" else None
+        kinds = [k for k, spec in INDEX_KINDS.items() if spec.family == family]
+        batched = _index_estimates(values, mask, kinds, n=n)
+        for kind in kinds:
+            for i in range(values.shape[0]):
+                series = CountSeries(values[i], mask[i])
+                try:
+                    single = INDEX_KINDS[kind].statistic(series, n)
+                except DegenerateSeriesError:
+                    assert np.isnan(batched[kind][i])
+                else:
+                    assert batched[kind][i] == single
+
+
+class TestIndexKindTable:
+    def test_covers_every_kind(self):
+        kinds = {KIND_POI_DISPERSION, KIND_BIN_DISPERSION, KIND_POI_SKEWNESS, KIND_BIN_SKEWNESS}
+        assert set(INDEX_KINDS) == kinds
+        for key, spec in INDEX_KINDS.items():
+            assert key == f"{spec.family}-{spec.index}"
+
+    def test_cli_curve_choices_are_the_table_keys(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        index = next(a for a in sub.choices["curves"]._actions if a.dest == "index")
+        assert list(index.choices) == list(INDEX_KINDS)
+
+
 class TestFitNullParams:
+    def test_length_one_series_names_T(self):
+        with pytest.raises(DegenerateSeriesError, match="T=1"):
+            fit_null_params(CountSeries.fully_observed([3]))
+        with pytest.raises(DegenerateSeriesError, match="T=1"):
+            run_test_index(CountSeries.fully_observed([3]), NullSpec("poisson"), "dispersion")
+
     def test_fully_observed_conventions(self):
         series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 5000, Seed(80))
         fitted = fit_null_params(series)
@@ -178,6 +252,22 @@ class TestTestIndex:
         assert rep.fitted.T == masked.n_observed
         assert rep.fitted.tau == 1.0
         assert rep.fitted.r == 0.0
+
+    def test_counts_above_binomial_bound_rejected(self):
+        series = CountSeries([2, 9, 3, 12, 1], [1, 1, 1, 1, 1])
+        for ignore in (False, True):
+            null = NullSpec("binomial", n=8, ignore_missing=ignore)
+            with pytest.raises(CountDiagError, match="count 9 at position 1 .*n=8"):
+                run_test_index(series, null, "dispersion")
+
+    def test_masked_counts_above_bound_ignored(self):
+        series = simulate_bar1(Bar1(8, 0.4, 0.5), 300, Seed(97))
+        values = series.values.copy()
+        values[5] = 20
+        mask = np.ones_like(values)
+        mask[3:8] = 0
+        rep = run_test_index(CountSeries(values, mask), NullSpec("binomial", n=8), "skewness")
+        assert rep.fitted.n == 8
 
     def test_unknown_kind_rejected(self):
         series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 100, Seed(96))

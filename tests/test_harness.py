@@ -259,6 +259,18 @@ class TestSeriesCsv:
         with pytest.raises(CsvFormatError, match="row 2"):
             load_series_csv(p)
 
+    def test_quoted_first_value_is_data(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text('"3"\n"NA"\n4\n')
+        s = load_series_csv(p)
+        assert list(s.values) == [3, 0, 4]
+        assert list(s.mask) == [1, 0, 1]
+
+    def test_quoted_header_skipped(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text('"t","x"\n1,"2"\n2,3\n')
+        assert list(load_series_csv(p).values) == [2, 3]
+
     def test_integral_float_accepted(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("2.0\n3\n")

@@ -21,8 +21,7 @@ from countdiag import (
     simulate_markov_mask,
     simulate_poi_inar1,
 )
-from countdiag.harness import _poisson_paths
-from countdiag.simulate import _markov_mask_from_uniforms
+from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 
 class TestEstimateTau:

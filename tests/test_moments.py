@@ -16,11 +16,10 @@ from countdiag import (
     falling_factorial,
     lag0_mixed_factorial,
     poisson_factorial_moment,
-    raw_from_factorial,
     sample_factorial_moments,
     stirling2,
 )
-from countdiag.harness import _binomial_paths, _poisson_paths
+from countdiag.simulate import _binomial_paths, _poisson_paths
 from countdiag.simulate import _markov_mask_from_uniforms
 
 from conftest import (
@@ -293,26 +292,6 @@ class TestRawMomentConversion:
         assert stirling2(6, 3) == 90
         assert stirling2(5, 0) == 0
         assert stirling2(0, 0) == 1
-
-    def test_poisson_second_raw(self):
-        fact = [poisson_factorial_moment(3.0, k) for k in range(1, 5)]
-        raw = raw_from_factorial(fact)
-        assert raw[0] == pytest.approx(3.0)
-        assert raw[1] == pytest.approx(12.0)
-
-    def test_binomial_third_raw_brute_force(self):
-        fact = [binomial_factorial_moment(10, 0.3, k) for k in range(1, 5)]
-        raw = raw_from_factorial(fact)
-        brute = brute_force_moment(lambda x: x**3, binomial_support(10, 0.3))
-        assert raw[2] == pytest.approx(brute, rel=1e-12)
-
-    def test_poisson_raw_brute_force_up_to_six(self):
-        fact = [poisson_factorial_moment(3.0, k) for k in range(1, 7)]
-        raw = raw_from_factorial(fact)
-        support = poisson_support(3.0)
-        for j in range(1, 7):
-            brute = brute_force_moment(lambda x: x**j, support)
-            assert raw[j - 1] == pytest.approx(brute, rel=1e-9)
 
 
 class TestMomentOracles:

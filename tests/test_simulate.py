@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -10,11 +12,11 @@ from countdiag import (
     PoiInar1,
     Seed,
     apply_mask,
-    binomial_thinning,
     simulate_bar1,
     simulate_markov_mask,
     simulate_poi_inar1,
 )
+from countdiag.simulate import _binomial_paths, _poisson_paths
 
 from conftest import bartlett_ar1_se, batch_se, binomial_support, poisson_support
 
@@ -37,31 +39,6 @@ def grouped_chisquare(samples, support, min_expected=5.0):
     exp = np.append(expected[:cut], expected[cut:].sum())
     exp = exp * obs.sum() / exp.sum()
     return chisquare(obs, exp).pvalue
-
-
-class TestBinomialThinning:
-    def test_zero_probability(self):
-        rng = Seed(1).generator()
-        assert binomial_thinning(5, 0.0, rng) == 0
-
-    def test_identity_probability(self):
-        rng = Seed(1).generator()
-        assert binomial_thinning(7, 1.0, rng) == 7
-
-    def test_domain(self):
-        rng = Seed(1).generator()
-        with pytest.raises(ParameterError):
-            binomial_thinning(5, 1.5, rng)
-        with pytest.raises(ParameterError):
-            binomial_thinning(-1, 0.5, rng)
-
-    def test_monte_carlo_mean(self):
-        # Bin(4, 0.5): mean 2, variance 1
-        rng = Seed(2024).generator()
-        draws = np.array([binomial_thinning(4, 0.5, rng) for _ in range(100_000)])
-        se = 1.0 / np.sqrt(draws.size)
-        assert abs(draws.mean() - 2.0) < 3 * se
-        assert draws.min() >= 0 and draws.max() <= 4
 
 
 class TestPoiInar1Simulator:
@@ -135,6 +112,33 @@ class TestBar1Simulator:
         a = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(99, 3))
         b = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(99, 3))
         assert np.array_equal(a.values, b.values)
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
+class TestPinnedStreams:
+    """Recorded draws of fixed seeds, so that a kernel change that moves a
+    stream fails here rather than only shifting Monte Carlo columns."""
+
+    def test_poi_inar1_single_path(self):
+        x = simulate_poi_inar1(PoiInar1(3, 0.5), 500, Seed(7)).values
+        assert x[:20].tolist() == [4, 3, 5, 4, 4, 4, 1, 2, 0, 2, 3, 1, 1, 1, 1, 2, 3, 6, 7, 4]
+        assert _sha256(x) == "39460d267a1d7e7e7c29d4162ba945dbe7c70df42004f271238975beb0807b78"
+
+    def test_bar1_single_path(self):
+        x = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(7)).values
+        assert x[:20].tolist() == [3, 3, 3, 1, 2, 2, 2, 2, 5, 3, 0, 0, 2, 2, 2, 1, 2, 2, 4, 3]
+        assert _sha256(x) == "a0d183bef29abb5ba6b5e95f1ee09df4bf22ca0983f41d1c71562a09d9d174ca"
+
+    def test_batched_paths(self):
+        x = _poisson_paths(3.0, 0.5, 200, 3, np.random.default_rng(7))
+        assert x[:, :4].tolist() == [[4, 2, 5, 4], [1, 2, 2, 4], [4, 4, 0, 5]]
+        assert _sha256(x) == "a371c0bf9bf5485d53e1b61365a3e9740010c511155250cf47639a44fa8b2080"
+        y = _binomial_paths(10, 0.3, 0.5, 200, 3, np.random.default_rng(7))
+        assert y[:, :4].tolist() == [[3, 3, 2, 2], [5, 5, 5, 3], [4, 3, 3, 1]]
+        assert _sha256(y) == "685f62f4e22e661d7c4c46138721d970c091f025020b8d245261ccba6a504880"
 
 
 class TestMarkovMask:
