@@ -41,7 +41,6 @@ from .missingness import (
     estimate_tau,
 )
 from .asymptotics import (
-    CovarianceRequest,
     IndexAsymptotics,
     SequenceMaskLaw,
     bin_dispersion_asym_general,

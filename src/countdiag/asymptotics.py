@@ -4,7 +4,10 @@ amplitude-modulated (missing-data) sampling.
 Two independent routes are provided for every quantity: general series
 formulas driven by a moment oracle and an arbitrary mask law, and closed
 forms for the Poisson/binomial AR(1) families under a Markov mask.  The two
-routes are kept separate so they can cross-check each other.
+routes are kept separate so they can cross-check each other.  Every general
+index route is the delta method over one set of lag series, the sigma_ij of
+:func:`clt_sigma_general`; the raw-moment dispersion route keeps its own
+hand-expanded series as an independent check of that.
 """
 
 from __future__ import annotations
@@ -144,54 +147,36 @@ def _sum_lagged(
     )
 
 
-@dataclass
-class CovarianceRequest:
-    """One entry of the limiting covariance of the factorial-moment estimates.
-
-    Attributes
-    ----------
-    i, j : int
-        Moment orders, both >= 1.
-    moments : object
-        Oracle with ``univariate(k)`` and ``mixed(k, s, h)``.
-    mask_law : object
-        Law with ``tau`` and ``lagged_product(h)`` (e.g. MissingSpec or
-        SequenceMaskLaw).
-    rtol : float
-        Truncation tolerance for the lag series.
-    lag_cap : int
-        Maximum number of lags before a convergence error is raised.
-    """
-
-    i: int
-    j: int
-    moments: object
-    mask_law: object
-    rtol: float = _DEFAULT_RTOL
-    lag_cap: int = _DEFAULT_LAG_CAP
-
-
-def clt_sigma_general(req: CovarianceRequest) -> float:
+def clt_sigma_general(
+    i: int,
+    j: int,
+    moments,
+    mask_law,
+    rtol: float = _DEFAULT_RTOL,
+    lag_cap: int = _DEFAULT_LAG_CAP,
+) -> float:
     """sigma_ij of the limiting normal law of the factorial-moment estimates.
 
-    Evaluates (1/tau)(mu_(i,j)(0) - mu_(i) mu_(j)) + (1/tau**2) *
-    sum_{h>=1} tau(h) (mu_(j,i)(h) + mu_(i,j)(h) - 2 mu_(i) mu_(j)) by direct
-    summation of the lag series.
+    ``moments`` is an oracle with ``univariate(k)`` and ``mixed(k, s, h)``;
+    ``mask_law`` has ``tau`` and ``lagged_product(h)`` (e.g. MissingSpec or
+    SequenceMaskLaw).  Evaluates (1/tau)(mu_(i,j)(0) - mu_(i) mu_(j)) +
+    (1/tau**2) sum_{h>=1} tau(h) (mu_(j,i)(h) + mu_(i,j)(h) - 2 mu_(i) mu_(j))
+    by direct summation of the lag series, truncated at relative tolerance
+    ``rtol`` and failing after ``lag_cap`` lags.
     """
-    if req.i < 1 or req.j < 1:
+    if i < 1 or j < 1:
         raise ParameterError("orders i, j must be >= 1")
-    mom, law = req.moments, req.mask_law
-    tau = law.tau
-    mi = mom.univariate(req.i)
-    mj = mom.univariate(req.j)
-    lag0 = mom.mixed(req.i, req.j, 0) - mi * mj
+    tau = mask_law.tau
+    mi = moments.univariate(i)
+    mj = moments.univariate(j)
+    lag0 = moments.mixed(i, j, 0) - mi * mj
 
     def term(h: int) -> float:
-        return law.lagged_product(h) * (
-            mom.mixed(req.j, req.i, h) + mom.mixed(req.i, req.j, h) - 2.0 * mi * mj
+        return mask_law.lagged_product(h) * (
+            moments.mixed(j, i, h) + moments.mixed(i, j, h) - 2.0 * mi * mj
         )
 
-    return lag0 / tau + _sum_lagged(term, req.rtol, req.lag_cap) / tau**2
+    return lag0 / tau + _sum_lagged(term, rtol, lag_cap) / tau**2
 
 
 def sigma_star(
@@ -206,35 +191,40 @@ def sigma_star(
 
     Three cases: the pure mask entry (i = j = 0) equals tau(1-tau) +
     2 sum_h gamma_O(h); a mixed entry (i = 0 < j) equals the mask entry times
-    mu_(j); and for i, j > 0 the count and mask contributions combine through
-    the lagged products tau(h).
+    mu_(j); and for i, j > 0 it is tau**2 sigma_ij plus the mask entry times
+    mu_(i) mu_(j).
     """
     if i < 0 or j < 0:
         raise ParameterError("orders must be non-negative")
     if i > j:
         i, j = j, i
-    law = mask_law
-    tau = law.tau
-    s00 = tau * (1.0 - tau) + 2.0 * _sum_lagged(
-        lambda h: law.mask_autocovariance(h), rtol, lag_cap
-    )
+    tau = mask_law.tau
+    s00 = tau * (1.0 - tau) + 2.0 * _sum_lagged(mask_law.mask_autocovariance, rtol, lag_cap)
     if j == 0:
         return s00
     if i == 0:
         return s00 * moments.univariate(j)
-    mi = moments.univariate(i)
-    mj = moments.univariate(j)
-
-    def term(h: int) -> float:
-        return law.lagged_product(h) * (
-            moments.mixed(j, i, h) + moments.mixed(i, j, h) - 2.0 * mi * mj
-        )
-
-    return (
-        tau * (moments.mixed(i, j, 0) - mi * mj)
-        + s00 * mi * mj
-        + _sum_lagged(term, rtol, lag_cap)
+    return tau**2 * clt_sigma_general(i, j, moments, mask_law, rtol, lag_cap) + (
+        s00 * moments.univariate(i) * moments.univariate(j)
     )
+
+
+def _delta_method(grad, hess, moments, mask_law, T: int, rtol: float, lag_cap: int):
+    """Variance g' Sigma g / T and bias tr(H Sigma) / (2T) of a smooth index.
+
+    ``grad`` and ``hess`` are the gradient and Hessian of the index in the
+    factorial moments (mu_(1), ..., mu_(k)), k = len(grad); Sigma holds the
+    sigma_ij of those moments, each lag series summed once.
+    """
+    k = len(grad)
+    sigma = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            sigma[i, j] = sigma[j, i] = clt_sigma_general(
+                i + 1, j + 1, moments, mask_law, rtol, lag_cap
+            )
+    g, h = np.asarray(grad, dtype=np.float64), np.asarray(hess, dtype=np.float64)
+    return float(g @ sigma @ g) / T, 0.5 * float(np.sum(h * sigma)) / T
 
 
 def sigma_poisson_markov(
@@ -316,48 +306,17 @@ def poi_dispersion_asym_general(
     """Asymptotics of the dispersion index for any count family, via series.
 
     Driven entirely by the moment oracle (orders up to four and joint moments
-    up to (2, 2)) and the mask law; no Markov structure is assumed.
+    up to (2, 2)) and the mask law; no Markov structure is assumed.  The delta
+    method for mu_(2)/mu - mu + 1 in (mu, mu_(2)).
     """
     _check_T(T)
-    tau = mask_law.tau
     mu = moments.univariate(1)
     if mu <= 0:
         raise ParameterError("mean must be positive")
-    m2, m3, m4 = (moments.univariate(k) for k in (2, 3, 4))
-    a = m2 / mu + mu
-
-    lag0_var = (
-        a**2 * (m2 + mu)
-        - 2.0 * a * (m3 + 2.0 * m2)
-        + m4
-        + 4.0 * m3
-        + 2.0 * m2
-        - mu**4
-    )
-
-    def var_term(h: int) -> float:
-        return mask_law.lagged_product(h) * (
-            a**2 * moments.mixed(1, 1, h)
-            - a * (moments.mixed(2, 1, h) + moments.mixed(1, 2, h))
-            + moments.mixed(2, 2, h)
-            - mu**4
-        )
-
-    variance = (
-        lag0_var + 2.0 / tau * _sum_lagged(var_term, rtol, lag_cap)
-    ) / (T * tau * mu**2)
-
-    lag0_bias = m2**2 - mu * (m2 + m3)
-
-    def bias_term(h: int) -> float:
-        return mask_law.lagged_product(h) * (
-            m2 * moments.mixed(1, 1, h)
-            - mu / 2.0 * (moments.mixed(2, 1, h) + moments.mixed(1, 2, h))
-        )
-
-    bias = (
-        lag0_bias + 2.0 / tau * _sum_lagged(bias_term, rtol, lag_cap)
-    ) / (T * tau * mu**3)
+    m2 = moments.univariate(2)
+    grad = (-m2 / mu**2 - 1.0, 1.0 / mu)
+    hess = ((2.0 * m2 / mu**3, -1.0 / mu**2), (-1.0 / mu**2, 0.0))
+    variance, bias = _delta_method(grad, hess, moments, mask_law, T, rtol, lag_cap)
     return IndexAsymptotics(KIND_POI_DISPERSION, 1.0, variance, bias, T)
 
 
@@ -384,53 +343,27 @@ def bin_dispersion_asym_general(
     rtol: float = _DEFAULT_RTOL,
     lag_cap: int = _DEFAULT_LAG_CAP,
 ) -> IndexAsymptotics:
-    """Asymptotics of the bounded-count dispersion index, via series."""
+    """Asymptotics of the bounded-count dispersion index, via series.
+
+    The delta method for the index N / D, N = mu_(2) + mu - mu**2 and
+    D = mu - mu**2 / n, in (mu, mu_(2)).
+    """
     _check_T(T)
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    tau = mask_law.tau
     mu = moments.univariate(1)
     if not 0.0 < mu < n:
         raise ParameterError(f"mean must lie strictly between 0 and n, got {mu}")
-    m2, m3, m4 = (moments.univariate(k) for k in (2, 3, 4))
-    p = mu**2 * (1.0 - n) - n * m2 + 2.0 * mu * m2
-    q = mu**3 * (1.0 - n) + n**2 * m2 + 3.0 * mu * m2 * (mu - n)
-    w = mu * (n - mu)
-
-    lag0_var = (
-        p**2 * (m2 + mu - mu**2)
-        + 2.0 * w * p * (m3 + 2.0 * m2 - mu * m2)
-        + w**2 * (m4 + 4.0 * m3 + 2.0 * m2 - m2**2)
-    )
-
-    def var_term(h: int) -> float:
-        return mask_law.lagged_product(h) * (
-            p**2 * (moments.mixed(1, 1, h) - mu**2)
-            + w * p * (moments.mixed(2, 1, h) + moments.mixed(1, 2, h) - 2.0 * mu * m2)
-            + w**2 * (moments.mixed(2, 2, h) - m2**2)
-        )
-
-    variance = (
-        n**2
-        * (lag0_var + 2.0 / tau * _sum_lagged(var_term, rtol, lag_cap))
-        / (T * tau * mu**4 * (n - mu) ** 4)
-    )
-
-    lag0_bias = q * (m2 + mu - mu**2) + w * (2.0 * mu - n) * (m3 + 2.0 * m2 - mu * m2)
-
-    def bias_term(h: int) -> float:
-        return mask_law.lagged_product(h) * (
-            2.0 * q * (moments.mixed(1, 1, h) - mu**2)
-            + w
-            * (2.0 * mu - n)
-            * (moments.mixed(2, 1, h) + moments.mixed(1, 2, h) - 2.0 * mu * m2)
-        )
-
-    bias = (
-        n
-        * (lag0_bias + 1.0 / tau * _sum_lagged(bias_term, rtol, lag_cap))
-        / (T * tau * mu**3 * (n - mu) ** 3)
-    )
+    m2 = moments.univariate(2)
+    num, den = m2 + mu - mu**2, mu - mu**2 / n
+    dnum, dden = 1.0 - 2.0 * mu, 1.0 - 2.0 * mu / n
+    grad = ((dnum * den - num * dden) / den**2, 1.0 / den)
+    h11 = (
+        -2.0 - 2.0 * dnum * dden / den + 2.0 * num / n / den + 2.0 * num * dden**2 / den**2
+    ) / den
+    h12 = -dden / den**2
+    hess = ((h11, h12), (h12, 0.0))
+    variance, bias = _delta_method(grad, hess, moments, mask_law, T, rtol, lag_cap)
     return IndexAsymptotics(KIND_BIN_DISPERSION, 1.0, variance, bias, T)
 
 
@@ -473,34 +406,14 @@ def skew_asym_general(
     if mu <= 0 or m2 <= 0:
         raise ParameterError("degenerate moments: need mu > 0 and mu_(2) > 0")
     c = 1.0 / (m2 * mu)
-    d1, d2, d3 = -m3 / mu * c, -m3 / m2 * c, c
-    h11 = 2.0 * m3 / mu**2 * c
-    h22 = 2.0 * m3 / m2**2 * c
-    h12 = m3 / (mu * m2) * c
-    h13 = -c / mu
-    h23 = -c / m2
-
-    sig = {}
-    for i in (1, 2, 3):
-        for j in range(i, 4):
-            sig[(i, j)] = clt_sigma_general(
-                CovarianceRequest(i, j, moments, mask_law, rtol, lag_cap)
-            )
-
-    variance = (
-        d1**2 * sig[(1, 1)]
-        + d2**2 * sig[(2, 2)]
-        + d3**2 * sig[(3, 3)]
-        + 2.0 * d1 * d2 * sig[(1, 2)]
-        + 2.0 * d1 * d3 * sig[(1, 3)]
-        + 2.0 * d2 * d3 * sig[(2, 3)]
-    ) / T
-    bias = (
-        0.5 * (h11 * sig[(1, 1)] + h22 * sig[(2, 2)])
-        + h12 * sig[(1, 2)]
-        + h13 * sig[(1, 3)]
-        + h23 * sig[(2, 3)]
-    ) / T
+    grad = (-m3 / mu * c, -m3 / m2 * c, c)
+    h12, h13, h23 = m3 / (mu * m2) * c, -c / mu, -c / m2
+    hess = (
+        (2.0 * m3 / mu**2 * c, h12, h13),
+        (h12, 2.0 * m3 / m2**2 * c, h23),
+        (h13, h23, 0.0),
+    )
+    variance, bias = _delta_method(grad, hess, moments, mask_law, T, rtol, lag_cap)
     return IndexAsymptotics(kind, m3 * c, variance, bias, T)
 
 

@@ -336,6 +336,8 @@ def test_index(
     closed-form asymptotics.  With ``null.ignore_missing`` the masked
     positions are dropped first and the dependence parameter is re-estimated
     on the compacted series.  A binomial null rejects observed counts above n.
+    A lower critical value below 0, the least value of every index, is
+    flagged with a warning unless the test is upper-sided.
     """
     spec = INDEX_KINDS[f"{null.family}-{kind}"]
     if null.family == FAMILY_BINOMIAL:
@@ -348,7 +350,7 @@ def test_index(
     work = series.compact() if null.ignore_missing else series
     fitted = fit_null_params(work, n=null.n)
     statistic = spec.statistic(work, null.n)
-    return test_from_params(
+    report = test_from_params(
         kind,
         null.family,
         mu=fitted.mu,
@@ -361,3 +363,10 @@ def test_index(
         statistic=statistic,
         sided=sided,
     )
+    if sided != "upper" and report.lower_critical < 0.0:  # every index is >= 0
+        warnings.warn(
+            f"fitted rho = {fitted.rho:.4f} gives the critical range [{report.lower_critical:.4f}, "
+            f"{report.upper_critical:.4f}], below 0 where no index can fall: nearly vacuous test",
+            stacklevel=2,
+        )
+    return report

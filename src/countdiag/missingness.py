@@ -72,24 +72,28 @@ def estimate_r(mask) -> float:
     return float(num / den)
 
 
-def dr_autocovariance(series: CountSeries, l: int) -> float:
-    """Missing-data autocovariance at lag l, after Dunsmuir and Robinson (1981).
+def _lag_sums(d: np.ndarray, max_lag: int) -> np.ndarray:
+    """(1/T) * sum_t d_t d_{t+l} for l = 0..max_lag, one lag at a time."""
+    T = d.size
+    return np.array([float((d[: T - l] * d[l:]).sum()) / T for l in range(max_lag + 1)])
 
-    Computes (1/T) * sum_t O_t O_{t+l} (X_t - muhat)(X_{t+l} - muhat) with the
-    amplitude-modulated mean estimate muhat and 1/T normalization (not
-    1/(T-l)).  With a fully observed series and l = 0 this is the ordinary
-    biased sample variance.
+
+def dr_autocovariance(series: CountSeries, max_lag: int) -> np.ndarray:
+    """Missing-data autocovariances at lags 0..max_lag, after Dunsmuir and
+    Robinson (1981).
+
+    Entry l is (1/T) * sum_t O_t O_{t+l} (X_t - muhat)(X_{t+l} - muhat), with
+    the amplitude-modulated mean estimate muhat and 1/T normalization (not
+    1/(T-l)).  The series is centred and masked once for all lags.  With a
+    fully observed series entry 0 is the ordinary biased sample variance.
     """
     T = series.T
-    if not 0 <= l < T:
-        raise ParameterError(f"lag must lie in [0, {T - 1}], got {l}")
+    if not 0 <= max_lag < T:
+        raise ParameterError(f"max lag must lie in [0, {T - 1}], got {max_lag}")
     muhat = sample_factorial_moments(series, 1).muhat[0]
     o = series.mask.astype(np.float64)
     x = np.where(series.mask == 1, series.values, 0).astype(np.float64)
-    d = (x - muhat) * o
-    if l == 0:
-        return float((d * d).sum()) / T
-    return float((d[:-l] * d[l:]).sum()) / T
+    return _lag_sums((x - muhat) * o, max_lag)
 
 
 def dr_acf(series: CountSeries, max_lag: int) -> AcfEstimate:
@@ -102,19 +106,11 @@ def dr_acf(series: CountSeries, max_lag: int) -> AcfEstimate:
     T = series.T
     if not 1 <= max_lag < T:
         raise ParameterError(f"max lag must lie in [1, {T - 1}], got {max_lag}")
-    c0 = dr_autocovariance(series, 0)
-    if c0 <= 0.0:
+    acov = dr_autocovariance(series, max_lag)
+    if acov[0] <= 0.0:
         raise DegenerateSeriesError("observed series has zero variance")
-    o = series.mask.astype(np.float64)
-    lags = np.arange(max_lag + 1)
-    rho_hat = np.empty(max_lag + 1)
-    tau_lag = np.empty(max_lag + 1)
-    rho_hat[0] = 1.0
-    tau_lag[0] = o.sum() / T
-    for l in range(1, max_lag + 1):
-        rho_hat[l] = dr_autocovariance(series, l) / c0
-        tau_lag[l] = float((o[:-l] * o[l:]).sum()) / T
-    return AcfEstimate(lags=lags, rho_hat=rho_hat, tau_lag=tau_lag, T=T)
+    tau_lag = _lag_sums(series.mask.astype(np.float64), max_lag)
+    return AcfEstimate(np.arange(max_lag + 1), acov / acov[0], tau_lag, T)
 
 
 def durbin_levinson_pacf(acf_values) -> np.ndarray:

@@ -12,18 +12,6 @@ import numpy as np
 from .errors import DegenerateSeriesError, ParameterError
 from .series import CountSeries
 
-#: Lag-zero joint factorial moments expressed in the univariate ones.
-#: Key (k, s) with k <= s; value = coefficients of mu_(k+s), mu_(k+s-1), ...
-_LAG0_TABLE = {
-    (1, 1): ((2, 1), (1, 1)),
-    (1, 2): ((3, 1), (2, 2)),
-    (2, 2): ((4, 1), (3, 4), (2, 2)),
-    (1, 3): ((4, 1), (3, 3)),
-    (2, 3): ((5, 1), (4, 6), (3, 6)),
-    (3, 3): ((6, 1), (5, 9), (4, 18), (3, 6)),
-}
-
-
 def falling_factorial(x, k: int):
     """x_(k) = x*(x-1)*...*(x-k+1), with x_(0) = 1 and zero whenever k > x >= 0.
 
@@ -118,6 +106,12 @@ def binomial_factorial_moment(n: int, pi: float, k: int) -> float:
     return falling_factorial(int(n), k) * float(pi) ** k
 
 
+def _product_coefficient(k: int, s: int, i: int) -> int:
+    """C(k, i) C(s, i) i!, the weight of x_(k+s-i) in x_(k) x_(s) = sum_i
+    C(k, i) C(s, i) i! x_(k+s-i)."""
+    return comb(k, i) * comb(s, i) * factorial(i)
+
+
 def bpoi_mixed_factorial(mu: float, rho: float, h: int, k: int, s: int) -> float:
     """Joint factorial moment E[(X_t)_(k) (X_{t-h})_(s)] for the Poisson AR family.
 
@@ -140,7 +134,7 @@ def bpoi_mixed_factorial(mu: float, rho: float, h: int, k: int, s: int) -> float
     ratio = rho**h / mu
     total = 0.0
     for i in range(min(k, s) + 1):
-        total += comb(k, i) * comb(s, i) * factorial(i) * ratio**i
+        total += _product_coefficient(k, s, i) * ratio**i
     return mu**k * mu**s * total
 
 
@@ -177,32 +171,17 @@ def lag0_mixed_factorial(univariate, k: int, s: int) -> float:
     """Lag-zero joint factorial moment E[(X_t)_(k) (X_t)_(s)].
 
     ``univariate`` supplies mu_(1), mu_(2), ... as a sequence; orders up to
-    k + s must be present.  Supported pairs are (k, s) with k, s <= 3 plus the
-    conventions for zero orders.
+    k + s must be present.  Expands the product through the falling-factorial
+    identity x_(k) x_(s) = sum_i C(k, i) C(s, i) i! x_(k+s-i).
     """
     if k < 0 or s < 0:
         raise ParameterError("orders must be non-negative")
-    uni = np.asarray(univariate, dtype=np.float64)
-
-    def u(j: int) -> float:
-        if j == 0:
-            return 1.0
-        if j > uni.size:
-            raise ParameterError(
-                f"univariate moments up to order {j} required, got {uni.size}"
-            )
-        return float(uni[j - 1])
-
-    if k == 0 and s == 0:
-        return 1.0
-    if k == 0:
-        return u(s)
-    if s == 0:
-        return u(k)
-    key = (min(k, s), max(k, s))
-    if key not in _LAG0_TABLE:
-        raise ParameterError(f"unsupported order pair {key}; only k, s <= 3 available")
-    return sum(c * u(j) for j, c in _LAG0_TABLE[key])
+    if k + s > len(univariate):
+        raise ParameterError(
+            f"univariate moments up to order {k + s} required, got {len(univariate)}"
+        )
+    u = [1.0] + [float(v) for v in univariate]
+    return sum(_product_coefficient(k, s, i) * u[k + s - i] for i in range(min(k, s) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +196,20 @@ def stirling2(j: int, k: int) -> int:
     return k * stirling2(j - 1, k) + stirling2(j - 1, k - 1)
 
 
-class PoissonArMoments:
+class _ArMoments:
+    """The joint moments of an AR(1) oracle: lag zero from the univariate
+    moments, other lags from the family's ``_lagged(k, s, h)``, h >= 1."""
+
+    def mixed(self, k: int, s: int, h: int) -> float:
+        if h < 0:
+            k, s, h = s, k, -h
+        if h == 0:
+            uni = [self.univariate(j) for j in range(1, 7)]
+            return lag0_mixed_factorial(uni, k, s)
+        return self._lagged(k, s, h)
+
+
+class PoissonArMoments(_ArMoments):
     """Factorial-moment oracle for the stationary Poisson AR(1) count family."""
 
     def __init__(self, mu: float, rho: float):
@@ -231,16 +223,11 @@ class PoissonArMoments:
     def univariate(self, k: int) -> float:
         return 1.0 if k == 0 else poisson_factorial_moment(self.mu, k)
 
-    def mixed(self, k: int, s: int, h: int) -> float:
-        if h < 0:
-            k, s, h = s, k, -h
-        if h == 0:
-            uni = [self.univariate(j) for j in range(1, 7)]
-            return lag0_mixed_factorial(uni, k, s)
+    def _lagged(self, k: int, s: int, h: int) -> float:
         return bpoi_mixed_factorial(self.mu, self.rho, h, k, s)
 
 
-class BinomialArMoments:
+class BinomialArMoments(_ArMoments):
     """Factorial-moment oracle for the stationary binomial AR(1) count family."""
 
     def __init__(self, n: int, pi: float, rho: float):
@@ -257,12 +244,7 @@ class BinomialArMoments:
     def univariate(self, k: int) -> float:
         return 1.0 if k == 0 else binomial_factorial_moment(self.n, self.pi, k)
 
-    def mixed(self, k: int, s: int, h: int) -> float:
-        if h < 0:
-            k, s, h = s, k, -h
-        if h == 0:
-            uni = [self.univariate(j) for j in range(1, 7)]
-            return lag0_mixed_factorial(uni, k, s)
+    def _lagged(self, k: int, s: int, h: int) -> float:
         return bbin_mixed_factorial(self.n, self.pi, self.rho, h, k, s)
 
 

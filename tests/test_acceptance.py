@@ -13,7 +13,6 @@ from scipy.stats import norm
 
 from countdiag import (
     BinomialArMoments,
-    CovarianceRequest,
     GridConfig,
     MissingSpec,
     PoiInar1,
@@ -244,7 +243,7 @@ def test_criterion_4_oracle_equivalence():
         # (a) series covariances against the closed-form entries
         for name, mom, n in oracles:
             for i, j in PAIRS:
-                series = clt_sigma_general(CovarianceRequest(i, j, mom, law))
+                series = clt_sigma_general(i, j, mom, law)
                 if n is None:
                     closed = sigma_poisson_markov(i, j, 3.0, 0.5, tau, r)
                 else:

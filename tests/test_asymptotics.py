@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from countdiag import (
     BinomialArMoments,
     ConvergenceError,
-    CovarianceRequest,
     MissingSpec,
     ParameterError,
     PoissonArMoments,
@@ -96,21 +95,30 @@ class TestSigmaStar:
         )
 
 
+    @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (2, 3), (3, 3)])
+    def test_count_entry_without_mask_is_sigma(self, ij):
+        # at tau = 1 the mask entry vanishes and sigma*_ij = sigma_ij
+        i, j = ij
+        got = sigma_star(i, j, PoissonArMoments(3.0, 0.5), MissingSpec(1.0, 0.0))
+        want = sigma_poisson_markov(i, j, 3.0, 0.5, 1.0, 0.0)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
 class TestCltSigmaGeneral:
     def test_poisson_order11_closed_form(self):
-        req = CovarianceRequest(1, 1, PoissonArMoments(3.0, 0.5), MissingSpec(0.8, 0.0))
-        assert clt_sigma_general(req) == pytest.approx(3.0 * 3.25, rel=1e-10)
+        got = clt_sigma_general(1, 1, PoissonArMoments(3.0, 0.5), MissingSpec(0.8, 0.0))
+        assert got == pytest.approx(3.0 * 3.25, rel=1e-10)
 
     def test_iid_counts_full_observation_gives_variance(self):
-        req = CovarianceRequest(1, 1, PoissonArMoments(3.0, 0.0), MissingSpec(1.0, 0.0))
-        assert clt_sigma_general(req) == pytest.approx(3.0, rel=1e-12)
+        got = clt_sigma_general(1, 1, PoissonArMoments(3.0, 0.0), MissingSpec(1.0, 0.0))
+        assert got == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("tau,r", [(1.0, 0.0), (0.8, 0.6), (0.4, 0.3)])
     @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
     def test_matches_poisson_closed_forms(self, tau, r, ij):
         i, j = ij
         law = MissingSpec(tau, r)
-        got = clt_sigma_general(CovarianceRequest(i, j, PoissonArMoments(3.0, 0.5), law))
+        got = clt_sigma_general(i, j, PoissonArMoments(3.0, 0.5), law)
         want = sigma_poisson_markov(i, j, 3.0, 0.5, tau, r)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -119,9 +127,7 @@ class TestCltSigmaGeneral:
     def test_matches_binomial_closed_forms(self, tau, r, ij):
         i, j = ij
         law = MissingSpec(tau, r)
-        got = clt_sigma_general(
-            CovarianceRequest(i, j, BinomialArMoments(10, 0.3, 0.5), law)
-        )
+        got = clt_sigma_general(i, j, BinomialArMoments(10, 0.3, 0.5), law)
         want = sigma_binomial_markov(i, j, 10, 0.3, 0.5, tau, r)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -134,9 +140,7 @@ class TestCltSigmaGeneral:
                 return 3.0 ** (k + s) + 1.0  # never factorizes
 
         with pytest.raises(ConvergenceError):
-            clt_sigma_general(
-                CovarianceRequest(1, 1, Flat(), MissingSpec(0.8, 0.0), lag_cap=1000)
-            )
+            clt_sigma_general(1, 1, Flat(), MissingSpec(0.8, 0.0), lag_cap=1000)
 
 
 class TestMarkovSigmaRelations:
@@ -280,6 +284,46 @@ class TestSkewnessAsymptotics:
         assert g.bias == pytest.approx(m.bias, rel=1e-10)
 
 
+GENERAL_CASES = [(1.0, 0.0, 100), (0.8, 0.6, 250), (0.4, 0.3, 1000)]
+
+#: Each kind's series route and closed form at the family's parameters and rho.
+GENERAL_VS_MARKOV = {
+    "poisson-dispersion": (
+        lambda rho, law, T: poi_dispersion_asym_general(PoissonArMoments(3.0, rho), law, T),
+        lambda rho, tau, r, T: poi_dispersion_asym_markov(3.0, rho, tau, r, T),
+    ),
+    "binomial-dispersion": (
+        lambda rho, law, T: bin_dispersion_asym_general(
+            10, BinomialArMoments(10, 0.3, rho), law, T
+        ),
+        lambda rho, tau, r, T: bin_dispersion_asym_markov(10, 0.3, rho, tau, r, T),
+    ),
+    "poisson-skewness": (
+        lambda rho, law, T: skew_asym_general(PoissonArMoments(3.0, rho), law, T),
+        lambda rho, tau, r, T: skew_asym_poisson_markov(3.0, rho, tau, r, T),
+    ),
+    "binomial-skewness": (
+        lambda rho, law, T: skew_asym_general(BinomialArMoments(10, 0.3, rho), law, T),
+        lambda rho, tau, r, T: skew_asym_binomial_markov(10, 0.3, rho, tau, r, T),
+    ),
+}
+
+
+class TestStrongDependence:
+    """The general-vs-closed-form checks above, repeated at rho = 0.9, where
+    the lag series are longest."""
+
+    @pytest.mark.parametrize("kind", sorted(GENERAL_VS_MARKOV))
+    @pytest.mark.parametrize("tau,r,T", GENERAL_CASES)
+    def test_general_matches_markov(self, kind, tau, r, T):
+        general, markov = GENERAL_VS_MARKOV[kind]
+        g = general(0.9, MissingSpec(tau, r), T)
+        m = markov(0.9, tau, r, T)
+        assert g.null_value == pytest.approx(m.null_value, rel=1e-12)
+        assert g.variance == pytest.approx(m.variance, rel=1e-10)
+        assert g.bias == pytest.approx(m.bias, rel=1e-10)
+
+
 class TestRawMomentRoute:
     @pytest.mark.parametrize(
         "tau,r", [(1.0, 0.0), (0.8, 0.0), (0.8, 0.6), (0.4, 0.6), (0.4, 0.3)]
@@ -350,7 +394,7 @@ class TestSequenceMaskLaw:
     def test_matches_markov_when_fed_markov_products(self):
         spec = MissingSpec(0.8, 0.6)
         law = SequenceMaskLaw(0.8, [spec.lagged_product(h) for h in range(1, 400)])
-        g = clt_sigma_general(CovarianceRequest(1, 1, PoissonArMoments(3.0, 0.5), law))
+        g = clt_sigma_general(1, 1, PoissonArMoments(3.0, 0.5), law)
         want = sigma_poisson_markov(1, 1, 3.0, 0.5, 0.8, 0.6)
         assert g == pytest.approx(want, rel=1e-10)
 

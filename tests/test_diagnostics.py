@@ -35,6 +35,8 @@ from countdiag.asymptotics import (
 )
 from countdiag.cli import build_parser
 from countdiag.harness import _index_estimates
+from countdiag.missingness import dr_acf
+from countdiag.moments import factorial_moments
 
 
 class TestIndexEstimators:
@@ -123,6 +125,51 @@ class TestBatchedEstimator:
                     assert np.isnan(batched[kind][i])
                 else:
                     assert batched[kind][i] == single
+
+
+def _outcome(call):
+    """A call's result, or its error type and message, in a comparable form."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except CountDiagError as err:
+            result = (type(err).__name__, str(err))
+    return result, [str(w.message) for w in caught]
+
+
+class TestMaskedValuesNeverRead:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _masked_rows(8),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+        st.sampled_from(["poisson", "binomial"]),
+    )
+    def test_moments_acf_and_reports_unchanged(self, rows, garbage, family):
+        values, mask = (np.array(a, dtype=np.int64)[0] for a in rows)
+        garbled = values.copy()
+        hidden = np.flatnonzero(mask == 0)
+        garbled[hidden] = np.resize(np.array(garbage), hidden.size)
+        a, b = CountSeries(values, mask), CountSeries(garbled, mask)
+        assert np.array_equal(
+            factorial_moments(a.values, a.mask, 3),
+            factorial_moments(b.values, b.mask, 3),
+            equal_nan=True,
+        )
+        max_lag = a.T - 1
+
+        def acf(series):
+            est = dr_acf(series, max_lag)
+            return est.rho_hat.tolist(), est.tau_lag.tolist()
+
+        if max_lag >= 1:
+            assert _outcome(lambda: acf(a)) == _outcome(lambda: acf(b))
+        null = NullSpec(family, n=10 if family == "binomial" else None)
+        for kind in ("dispersion", "skewness"):
+            def report(series):
+                return json.dumps(run_test_index(series, null, kind).to_dict())
+
+            assert _outcome(lambda: report(a)) == _outcome(lambda: report(b))
 
 
 class TestIndexKindTable:
@@ -268,6 +315,20 @@ class TestTestIndex:
         mask[3:8] = 0
         rep = run_test_index(CountSeries(values, mask), NullSpec("binomial", n=8), "skewness")
         assert rep.fitted.n == 8
+
+    def test_nearly_vacuous_test_flagged(self):
+        # a step fits rho near 1; the critical range reaches below 0, where no
+        # index can fall
+        step = CountSeries.fully_observed([1] * 100 + [6] * 100)
+        with pytest.warns(UserWarning, match=r"rho = 0\.9850 .*\[-1\.2560, 1\.9327\]"):
+            rep = run_test_index(step, NullSpec("poisson"), "dispersion")
+        assert rep.decision == "retain"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_test_index(step, NullSpec("poisson"), "dispersion", sided="upper")
+            series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 500, Seed(98))
+            for kind in ("dispersion", "skewness"):
+                assert run_test_index(series, NullSpec("poisson"), kind).lower_critical > 0
 
     def test_unknown_kind_rejected(self):
         series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 100, Seed(96))

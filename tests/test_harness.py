@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countdiag import (
     Bar1,
@@ -291,3 +294,22 @@ class TestSeriesCsv:
         back = load_series_csv(p)
         assert np.array_equal(back.mask, s.mask)
         assert np.array_equal(back.observed_values(), s.observed_values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**12), st.integers(0, 1)), min_size=1, max_size=60
+        )
+    )
+    def test_write_read_round_trip_property(self, rows):
+        from countdiag import CountSeries
+        from countdiag.series import MASK_SENTINEL
+
+        values, mask = (np.array(a, dtype=np.int64) for a in zip(*rows))
+        s = CountSeries(values, mask)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "rt.csv"
+            write_series_csv(s, p)
+            back = load_series_csv(p)
+        assert np.array_equal(back.mask, s.mask)
+        assert np.array_equal(back.values, np.where(mask == 1, values, MASK_SENTINEL))

@@ -65,18 +65,20 @@ class TestEstimateR:
 class TestDrAutocovariance:
     def test_constant_series_zero(self):
         s = CountSeries.fully_observed([4, 4, 4, 4, 4])
-        for l in range(0, 4):
-            assert dr_autocovariance(s, l) == 0.0
+        acov = dr_autocovariance(s, 3)
+        assert acov.shape == (4,)
+        assert np.all(acov == 0.0)
 
     def test_lag0_is_biased_variance(self):
         values = Seed(5).generator().poisson(3, 500)
         s = CountSeries.fully_observed(values)
-        assert dr_autocovariance(s, 0) == pytest.approx(values.var(), rel=1e-12)
+        assert dr_autocovariance(s, 0)[0] == pytest.approx(values.var(), rel=1e-12)
 
     def test_lag_domain(self):
         s = CountSeries.fully_observed([1, 2, 3])
-        with pytest.raises(ParameterError):
-            dr_autocovariance(s, 3)
+        for max_lag in (-1, 3):
+            with pytest.raises(ParameterError):
+                dr_autocovariance(s, max_lag)
 
     def test_all_masked_rejected(self):
         s = CountSeries([1, 2, 3], [0, 0, 0])
@@ -85,9 +87,9 @@ class TestDrAutocovariance:
 
     def test_ratio_limit_fully_observed(self):
         series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 100_000, Seed(55))
-        ratio = dr_autocovariance(series, 1) / dr_autocovariance(series, 0)
+        acov = dr_autocovariance(series, 1)
         se = np.sqrt(1.0 / 100_000)
-        assert abs(ratio - 0.5) < 3 * se
+        assert abs(acov[1] / acov[0] - 0.5) < 3 * se
 
     def test_ratio_limit_under_missingness(self):
         # the 1/T-normalized ratio converges to (tau(1)/tau) * rho(1), i.e.
@@ -95,11 +97,10 @@ class TestDrAutocovariance:
         tau, r, rho, T = 0.8, 0.6, 0.5, 100_000
         series = simulate_poi_inar1(PoiInar1(3.0, rho), T, Seed(55))
         mask = simulate_markov_mask(MissingSpec(tau, r), T, Seed(56))
-        masked = apply_mask(series, mask)
-        ratio = dr_autocovariance(masked, 1) / dr_autocovariance(masked, 0)
+        acov = dr_autocovariance(apply_mask(series, mask), 1)
         limit = (tau + (1 - tau) * r) * rho
         se = np.sqrt((tau + (1 - tau) * r) / tau / T) * 3  # inflation for dependence
-        assert abs(ratio - limit) < 3 * se
+        assert abs(acov[1] / acov[0] - limit) < 3 * se
 
     def test_sentinels_never_read(self):
         rng = np.random.default_rng(9)
@@ -110,8 +111,27 @@ class TestDrAutocovariance:
         garbled[mask == 0] = 7777
         a = CountSeries(values, mask)
         b = CountSeries(garbled, mask)
-        for l in (0, 1, 5):
-            assert dr_autocovariance(a, l) == dr_autocovariance(b, l)
+        assert np.array_equal(dr_autocovariance(a, 5), dr_autocovariance(b, 5))
+
+
+def _per_lag_reference(series, max_lag):
+    """The missing-data ACF written out lag by lag: for each lag the mean is
+    recomputed and the series centred and masked again."""
+    T = series.T
+    o = series.mask.astype(np.float64)
+
+    def acov(l):
+        x = np.where(series.mask == 1, series.values, 0).astype(np.float64)
+        muhat = x.sum() / (series.mask == 1).sum()
+        d = (x - muhat) * o
+        if l == 0:
+            return float((d * d).sum()) / T
+        return float((d[:-l] * d[l:]).sum()) / T
+
+    c0 = acov(0)
+    rho_hat = [1.0] + [acov(l) / c0 for l in range(1, max_lag + 1)]
+    tau_lag = [o.sum() / T] + [float((o[:-l] * o[l:]).sum()) / T for l in range(1, max_lag + 1)]
+    return np.array(rho_hat), np.array(tau_lag)
 
 
 class TestDrAcf:
@@ -136,6 +156,17 @@ class TestDrAcf:
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             dr_acf(CountSeries.fully_observed([2, 2, 2, 2]), 1)
+
+    @pytest.mark.parametrize("tau,r", [(1.0, 0.0), (0.8, 0.6), (0.4, 0.3)])
+    def test_equals_per_lag_reference_exactly(self, tau, r):
+        T = 5000
+        series = simulate_poi_inar1(PoiInar1(3.0, 0.7), T, Seed(63))
+        masked = apply_mask(series, simulate_markov_mask(MissingSpec(tau, r), T, Seed(64)))
+        est = dr_acf(masked, 40)
+        rho_hat, tau_lag = _per_lag_reference(masked, 40)
+        assert np.array_equal(est.rho_hat, rho_hat)
+        assert np.array_equal(est.tau_lag, tau_lag)
+        assert np.array_equal(est.lags, np.arange(41))
 
 
 class TestDurbinLevinson:

@@ -279,6 +279,13 @@ class TestLag0MixedFactorial:
         assert lag0_mixed_factorial(uni, 0, 2) == pytest.approx(9.0)
         assert lag0_mixed_factorial(uni, 2, 0) == pytest.approx(9.0)
 
+    def test_identity_beyond_order_three(self):
+        uni = [binomial_factorial_moment(10, 0.3, j) for j in range(1, 7)]
+        brute = brute_force_moment(
+            lambda x: falling_array(x, 2) * falling_array(x, 4), binomial_support(10, 0.3)
+        )
+        assert lag0_mixed_factorial(uni, 2, 4) == pytest.approx(brute, rel=1e-9)
+
     def test_unsupported_pair(self):
         uni = [poisson_factorial_moment(3.0, k) for k in range(1, 7)]
         with pytest.raises(ParameterError):
