@@ -68,6 +68,7 @@ from .diagnostics import (
     index_skew,
     test_from_params,
     test_index,
+    test_indices,
 )
 from .harness import (
     GridConfig,

@@ -172,9 +172,12 @@ def clt_sigma_general(
     lag0 = moments.mixed(i, j, 0) - mi * mj
 
     def term(h: int) -> float:
-        return mask_law.lagged_product(h) * (
-            moments.mixed(j, i, h) + moments.mixed(i, j, h) - 2.0 * mi * mj
-        )
+        # on the diagonal both orders are one oracle call, and x + x == 2 * x exactly
+        if i == j:
+            both = 2.0 * moments.mixed(i, i, h)
+        else:
+            both = moments.mixed(j, i, h) + moments.mixed(i, j, h)
+        return mask_law.lagged_product(h) * (both - 2.0 * mi * mj)
 
     return lag0 / tau + _sum_lagged(term, rtol, lag_cap) / tau**2
 

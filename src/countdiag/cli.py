@@ -12,7 +12,7 @@ import numpy as np
 from .errors import CountDiagError
 from .series import Bar1, MissingSpec, PoiInar1, Seed
 from .simulate import apply_mask, simulate_bar1, simulate_markov_mask, simulate_poi_inar1
-from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_index
+from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_indices
 from .harness import (
     emit_curves,
     format_grid_table,
@@ -126,7 +126,7 @@ def _cmd_diagnose(args) -> int:
         ignore_missing=args.ignore_missing,
     )
     kinds = ["dispersion", "skewness"] if args.index == "both" else [args.index]
-    reports = [test_index(series, null, kind, sided=args.sided) for kind in kinds]
+    reports = test_indices(series, null, kinds, sided=args.sided)
     for report in reports:
         print(_render_report(report))
     if args.json_out:

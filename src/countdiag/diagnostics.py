@@ -326,20 +326,21 @@ def test_from_params(
     )
 
 
-def test_index(
-    series: CountSeries, null: NullSpec, kind: str, sided: str = "two"
-) -> TestReport:
-    """Run one marginal index test against a Poisson or binomial AR(1) null.
+def test_indices(
+    series: CountSeries, null: NullSpec, kinds, sided: str = "two"
+) -> list:
+    """Run marginal index tests of several kinds against one Poisson or binomial
+    AR(1) null; one report per kind, in order.
 
-    Fits the plug-in parameters from the series (respecting the mask), then
-    compares the sample index against critical values from the matching
+    Fits the plug-in parameters from the series once (respecting the mask),
+    then compares each sample index against critical values from the matching
     closed-form asymptotics.  With ``null.ignore_missing`` the masked
     positions are dropped first and the dependence parameter is re-estimated
     on the compacted series.  A binomial null rejects observed counts above n.
     A lower critical value below 0, the least value of every index, is
     flagged with a warning unless the test is upper-sided.
     """
-    spec = INDEX_KINDS[f"{null.family}-{kind}"]
+    specs = [INDEX_KINDS[f"{null.family}-{kind}"] for kind in kinds]
     if null.family == FAMILY_BINOMIAL:
         above = np.flatnonzero((series.mask == 1) & (series.values > null.n))
         if above.size:
@@ -349,24 +350,35 @@ def test_index(
             )
     work = series.compact() if null.ignore_missing else series
     fitted = fit_null_params(work, n=null.n)
-    statistic = spec.statistic(work, null.n)
-    report = test_from_params(
-        kind,
-        null.family,
-        mu=fitted.mu,
-        rho=fitted.rho,
-        tau=fitted.tau,
-        r=fitted.r,
-        T=fitted.T,
-        n=null.n,
-        alpha=null.alpha,
-        statistic=statistic,
-        sided=sided,
-    )
-    if sided != "upper" and report.lower_critical < 0.0:  # every index is >= 0
-        warnings.warn(
-            f"fitted rho = {fitted.rho:.4f} gives the critical range [{report.lower_critical:.4f}, "
-            f"{report.upper_critical:.4f}], below 0 where no index can fall: nearly vacuous test",
-            stacklevel=2,
+    reports = []
+    for kind, spec in zip(kinds, specs):
+        report = test_from_params(
+            kind,
+            null.family,
+            mu=fitted.mu,
+            rho=fitted.rho,
+            tau=fitted.tau,
+            r=fitted.r,
+            T=fitted.T,
+            n=null.n,
+            alpha=null.alpha,
+            statistic=spec.statistic(work, null.n),
+            sided=sided,
         )
+        if sided != "upper" and report.lower_critical < 0.0:  # every index is >= 0
+            warnings.warn(
+                f"fitted rho = {fitted.rho:.4f} gives the critical range [{report.lower_critical:.4f}, "
+                f"{report.upper_critical:.4f}], below 0 where no index can fall: nearly vacuous test",
+                stacklevel=2,
+            )
+        reports.append(report)
+    return reports
+
+
+def test_index(
+    series: CountSeries, null: NullSpec, kind: str, sided: str = "two"
+) -> TestReport:
+    """Run one marginal index test against a Poisson or binomial AR(1) null
+    (the one-kind call of :func:`test_indices`)."""
+    (report,) = test_indices(series, null, (kind,), sided)
     return report

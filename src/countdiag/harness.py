@@ -20,10 +20,10 @@ from .moments import factorial_moments
 from .asymptotics import IndexAsymptotics
 from .diagnostics import INDEX_KINDS, family_kinds, marginal_params
 
-#: Replications are simulated in vectorized chunks of this many paths; each
-#: chunk owns an independent random stream derived from (master seed,
-#: scenario key, chunk index), so any scenario reproduces its grid row
-#: exactly and results do not depend on the worker count.
+#: Replications are simulated in vectorized chunks of this many paths.  Per
+#: chunk index, each model's paths and each mask law's mask have their own
+#: random stream, derived from (master seed, model or law key, chunk index), so
+#: results do not depend on the worker count.
 DEFAULT_CHUNK = 2048
 
 
@@ -56,15 +56,22 @@ class Scenario:
         return family_kinds(self.model.family)
 
     def key(self) -> str:
-        m = self.model
-        if isinstance(m, PoiInar1):
-            mstr = f"poi(mu={m.mu!r},rho={m.rho!r})"
-        else:
-            mstr = f"bar(n={m.n},pi={m.pi!r},rho={m.rho!r})"
         return (
-            f"{mstr}|mask(tau={self.missing.tau!r},r={self.missing.r!r})"
+            f"{_model_key(self.model)}|{_law_key(self.missing)}"
             f"|T={self.T}|R={self.replications}"
         )
+
+
+def _model_key(m: ModelSpec) -> str:
+    """The spelling of a model in cell keys and path-stream seeds."""
+    if isinstance(m, PoiInar1):
+        return f"poi(mu={m.mu!r},rho={m.rho!r})"
+    return f"bar(n={m.n},pi={m.pi!r},rho={m.rho!r})"
+
+
+def _law_key(missing: MissingSpec) -> str:
+    """The spelling of a mask law in cell keys and mask-stream seeds."""
+    return f"mask(tau={missing.tau!r},r={missing.r!r})"
 
 
 @dataclass(frozen=True)
@@ -94,29 +101,60 @@ def _chunk_seed_sequence(master_seed: int, key: str, chunk_index: int):
     )
 
 
-def _index_estimates(values, mask, kinds, n=None) -> dict:
-    """Index estimates per replication row; NaN marks a degenerate one."""
-    muhat = factorial_moments(values, mask, max(INDEX_KINDS[k].order for k in kinds))
+def _index_estimates(values, mask, kinds, n=None, ends=None) -> dict:
+    """Index estimates per replication row; NaN marks a degenerate one.
+
+    With ``ends`` each estimate gains a last axis, one entry per prefix
+    ``[:, :end]`` (see ``factorial_moments``).
+    """
+    muhat = factorial_moments(values, mask, max(INDEX_KINDS[k].order for k in kinds), ends)
     return {kind: INDEX_KINDS[kind].estimate(muhat, n) for kind in kinds}
 
 
-def _run_chunk(scenario: Scenario, chunk_index: int, size: int) -> dict:
-    rng = np.random.default_rng(
-        _chunk_seed_sequence(scenario.master_seed, scenario.key(), chunk_index)
-    )
-    m = scenario.model
-    if isinstance(m, PoiInar1):
-        values = _poisson_paths(m.mu, m.rho, scenario.T, size, rng)
-        n = None
-    else:
-        values = _binomial_paths(m.n, m.pi, m.rho, scenario.T, size, rng)
-        n = m.n
-    if scenario.missing.tau >= 1.0:
-        mask = np.ones_like(values, dtype=np.int8)
-    else:
-        u = rng.random((size, scenario.T))
-        mask = _markov_mask_from_uniforms(u, scenario.missing.tau, scenario.missing.r)
-    return _index_estimates(values, mask, scenario.index_kinds, n=n)
+def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
+    """One chunk of replications of every cell; per cell, its index estimates.
+
+    The cells share the master seed.  Each model's paths are drawn once, from
+    the stream keyed by (master seed, model, chunk), and each mask law's mask
+    once, from (master seed, law, chunk), both at the cells' longest T; every
+    cell reads the prefix of its own T.  An all-observed law (tau = 1) draws no
+    stream and shares one mask whatever r is.  Laws are taken one at a time,
+    so that a single mask is alive.
+    """
+    T = max(c.T for c in cells)
+
+    def rng(key):
+        seed = _chunk_seed_sequence(cells[0].master_seed, key, chunk_index)
+        return np.random.default_rng(seed)
+
+    paths, laws = {}, {}
+    for i, c in enumerate(cells):
+        m, model_key = c.model, _model_key(c.model)
+        if model_key not in paths:
+            if isinstance(m, PoiInar1):
+                paths[model_key] = _poisson_paths(m.mu, m.rho, T, size, rng(model_key)), None
+            else:
+                paths[model_key] = _binomial_paths(m.n, m.pi, m.rho, T, size, rng(model_key)), m.n
+        law_key = None if c.missing.tau >= 1.0 else _law_key(c.missing)
+        laws.setdefault(law_key, (c.missing, {}))[1].setdefault(model_key, []).append(i)
+    out = [None] * len(cells)
+    for law_key, (missing, by_model) in laws.items():
+        if law_key is None:
+            mask = np.ones((size, T), dtype=np.int8)
+        else:
+            u = rng(law_key).random((size, T))
+            mask = _markov_mask_from_uniforms(u, missing.tau, missing.r)
+            del u
+        for model_key, members in by_model.items():
+            ends = sorted({cells[i].T for i in members})
+            kinds = [k for k in INDEX_KINDS if any(k in cells[i].index_kinds for i in members)]
+            values, n = paths[model_key]
+            est = _index_estimates(values, mask, kinds, n, ends)
+            for i in members:
+                e = ends.index(cells[i].T)
+                out[i] = {kind: est[kind][:, e] for kind in cells[i].index_kinds}
+        del mask
+    return out
 
 
 def _chunk_plan(replications: int, chunk_size: int):
@@ -167,28 +205,38 @@ def _aggregate(scenario: Scenario, chunk_results: Sequence[dict]) -> ScenarioRes
     return ScenarioResult(scenario=scenario, stats=stats)
 
 
+def _simulate(cells: Sequence[Scenario], workers: int, chunk_size: int) -> list:
+    """Per cell, the index estimates of each chunk of its replications.
+
+    The cells share the replication count and master seed, as a grid's do;
+    each chunk of replications is one unit of work over all of them.  Output
+    is deterministic for a fixed (master seed, chunk size, longest T) no
+    matter how many workers execute the units.
+    """
+    if not cells:
+        return []
+    plan = _chunk_plan(cells[0].replications, chunk_size)
+    workers = min(workers, len(plan))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(_run_unit, cells, i, size) for i, size in plan]
+            units = [f.result() for f in futures]
+    else:
+        units = [_run_unit(cells, i, size) for i, size in plan]
+    return [[unit[i] for unit in units] for i in range(len(cells))]
+
+
 def run_scenario(
-    scenario: Scenario,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-    _executor: Optional[ProcessPoolExecutor] = None,
+    scenario: Scenario, workers: int = 1, chunk_size: int = DEFAULT_CHUNK
 ) -> ScenarioResult:
     """Run one scenario: simulate, mask, estimate, aggregate.
 
     Output is deterministic for a fixed (master seed, chunk size) no matter
-    how many workers execute the chunks.
+    how many workers execute the chunks.  It equals the scenario's row of a
+    grid whose longest length is the scenario's T.
     """
-    plan = _chunk_plan(scenario.replications, chunk_size)
-    if _executor is not None:
-        futures = [_executor.submit(_run_chunk, scenario, i, size) for i, size in plan]
-        chunk_results = [f.result() for f in futures]
-    elif workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_run_chunk, scenario, i, size) for i, size in plan]
-            chunk_results = [f.result() for f in futures]
-    else:
-        chunk_results = [_run_chunk(scenario, i, size) for i, size in plan]
-    return _aggregate(scenario, chunk_results)
+    (chunks,) = _simulate([scenario], workers, chunk_size)
+    return _aggregate(scenario, chunks)
 
 
 @dataclass(frozen=True)
@@ -283,20 +331,11 @@ def run_grid(
     row and the grid continues."""
     scenarios = config.scenarios()
     results = []
-    executor = None
-    try:
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        for s in scenarios:
-            try:
-                results.append(
-                    run_scenario(s, workers=workers, chunk_size=chunk_size, _executor=executor)
-                )
-            except CountDiagError as err:
-                results.append(ScenarioResult(scenario=s, stats={}, error=str(err)))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for s, chunks in zip(scenarios, _simulate(scenarios, workers, chunk_size)):
+        try:
+            results.append(_aggregate(s, chunks))
+        except CountDiagError as err:
+            results.append(ScenarioResult(scenario=s, stats={}, error=str(err)))
     return results
 
 

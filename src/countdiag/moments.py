@@ -58,22 +58,45 @@ class MomentSummary:
     tauhat: float
 
 
-def factorial_moments(values, mask, m: int) -> np.ndarray:
+def factorial_moments(values, mask, m: int, ends=None) -> np.ndarray:
     """Sample factorial moments of orders 1..m of each row of (..., T) values.
 
     Only mask-1 positions are read: the k-th moment of a row, ``muhat[k-1]``,
     is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with nothing observed.
+
+    With ``ends``, strictly increasing lengths in 1..T, the moments of every
+    prefix ``[..., :end]`` come out along a new last axis from one pass: sums
+    over the segments between consecutive ends, accumulated.  Partial sums of
+    integer-valued float64 below 2**53 are exact in any order, so each prefix
+    equals its own call bit for bit.
     """
     if m < 1:
         raise ParameterError(f"max order must be >= 1, got {m}")
     observed = mask == 1
     x = np.where(observed, values, 0).astype(np.float64)
-    n_obs = observed.sum(axis=-1)
+    if ends is None:
+        def total(a, dtype=None):
+            return a.sum(axis=-1, dtype=dtype)
+    else:
+        ends = np.asarray(ends, dtype=np.intp)
+        T = x.shape[-1]
+        if ends.ndim != 1 or ends.size == 0 or ends[0] < 1 or ends[-1] > T or np.any(
+            np.diff(ends) <= 0
+        ):
+            raise ParameterError(
+                f"prefix ends must increase strictly within 1..{T}, got {ends.tolist()}"
+            )
+        starts = np.concatenate(([0], ends[:-1]))
+        x, observed = x[..., : ends[-1]], observed[..., : ends[-1]]
+
+        def total(a, dtype=None):
+            return np.add.reduceat(a, starts, axis=-1, dtype=dtype).cumsum(axis=-1)
+    n_obs = total(observed, np.intp)
     muhat = np.empty((m,) + n_obs.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m):
             fk = fk * (x - k) if k else x
-            muhat[k] = fk.sum(axis=-1) / n_obs
+            muhat[k] = total(fk) / n_obs
     return muhat
 
 

@@ -142,6 +142,22 @@ class TestCltSigmaGeneral:
         with pytest.raises(ConvergenceError):
             clt_sigma_general(1, 1, Flat(), MissingSpec(0.8, 0.0), lag_cap=1000)
 
+    def test_diagonal_calls_the_oracle_once_per_lag(self):
+        class Counting:
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+
+            def univariate(self, k):
+                return self.inner.univariate(k)
+
+            def mixed(self, k, s, h):
+                self.calls += 1
+                return self.inner.mixed(k, s, h)
+
+        oracle = Counting(BinomialArMoments(25, 0.12, 0.9))
+        skew_asym_general(oracle, MissingSpec(0.4, 0.6), 500)
+        assert oracle.calls == 2187  # 2912 when each diagonal lag asked twice
+
 
 class TestMarkovSigmaRelations:
     def test_poisson_ladder(self):

@@ -27,6 +27,7 @@ from countdiag import (
 )
 from countdiag import test_from_params as run_test_from_params
 from countdiag import test_index as run_test_index
+from countdiag import test_indices as run_test_indices
 from countdiag.asymptotics import (
     KIND_BIN_DISPERSION,
     KIND_BIN_SKEWNESS,
@@ -334,6 +335,36 @@ class TestTestIndex:
         series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 100, Seed(96))
         with pytest.raises(ParameterError):
             run_test_index(series, NullSpec("poisson"), "kurtosis")
+
+    def test_several_kinds_fit_once_and_match_one_kind_calls(self, monkeypatch):
+        import countdiag.diagnostics as diagnostics
+
+        fits = []
+        fit = diagnostics.fit_null_params
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "fit_null_params", counting_fit)
+        series = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(99))
+        mask = simulate_markov_mask(MissingSpec(0.6, 0.3), 500, Seed(100))
+        masked = apply_mask(series, mask)
+        for ignore in (False, True):
+            null = NullSpec("binomial", n=10, ignore_missing=ignore)
+            fits.clear()
+            reports = run_test_indices(masked, null, ("dispersion", "skewness"))
+            assert len(fits) == 1
+            singles = [run_test_index(masked, null, kind) for kind in ("dispersion", "skewness")]
+            assert [r.to_dict() for r in reports] == [r.to_dict() for r in singles]
+
+    def test_clamp_warning_once_for_several_kinds(self):
+        alternating = CountSeries.fully_observed([0, 5] * 100)  # lag-1 ACF near -1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_test_indices(alternating, NullSpec("poisson"), ("dispersion", "skewness"))
+        clamps = [w for w in caught if "clamped to 0" in str(w.message)]
+        assert len(clamps) == 1 and "rho = -0.9950" in str(clamps[0].message)
 
 
 class TestNullSpec:

@@ -166,6 +166,61 @@ class TestRunGrid:
         assert "disp sim" in table and len(table.splitlines()) == 2
 
 
+class TestGridStreams:
+    """Paths are keyed by (seed, model, chunk) and masks by (seed, law, chunk),
+    drawn at the grid's longest T; each cell reads a prefix."""
+
+    @staticmethod
+    def _lines(results, path):
+        write_grid_csv(results, path)
+        return path.read_text().splitlines()
+
+    def test_sub_grid_reproduces_its_rows(self, tmp_path):
+        axes = dict(ns=(10, 25), lengths=(50, 120), replications=300, master_seed=4)
+        full = GridConfig("binomial", taus=(1.0, 0.8, 0.6), rs=(0.0, 0.6), **axes)
+        sub = GridConfig("binomial", taus=(0.6,), rs=(0.6,), **axes)
+        full_lines = self._lines(run_grid(full, chunk_size=128), tmp_path / "full.csv")
+        sub_lines = self._lines(run_grid(sub, workers=2, chunk_size=128), tmp_path / "sub.csv")
+        assert len(sub_lines) == 5
+        assert [line for line in full_lines if line in sub_lines] == sub_lines
+
+    def test_one_cell_at_longest_T_equals_its_grid_row(self):
+        config = GridConfig(
+            "poisson", taus=(0.8, 0.6), rs=(0.3,), lengths=(60, 150), replications=300,
+            master_seed=9,
+        )
+        longest = [res for res in run_grid(config, chunk_size=128) if res.scenario.T == 150]
+        assert len(longest) == 2
+        for res in longest:
+            single = run_scenario(res.scenario, chunk_size=128)
+            assert result_rows([single]) == result_rows([res])
+
+    def test_all_observed_rows_equal_across_r(self):
+        config = GridConfig(
+            "poisson", taus=(1.0,), rs=(0.0, 0.3, 0.6), lengths=(80,), replications=200,
+            master_seed=2,
+        )
+        rows = result_rows(run_grid(config, chunk_size=64))
+        sim = [{k: v for k, v in row.items() if "sim" in k or "failures" in k} for row in rows]
+        assert sim[0] == sim[1] == sim[2]
+
+    def test_pool_capped_at_units(self, monkeypatch):
+        import countdiag.harness as harness
+
+        sizes = []
+        pool = harness.ProcessPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
+        config = GridConfig("poisson", taus=(0.8,), rs=(0.0,), lengths=(50,), replications=256)
+        run_grid(config, workers=16, chunk_size=64)  # four units
+        run_grid(config, workers=16, chunk_size=256)  # one unit runs in process
+        assert sizes == [4]
+
+
 class TestGridConfigJson:
     def test_round_trip(self):
         doc = {

@@ -19,6 +19,7 @@ from countdiag import (
     sample_factorial_moments,
     stirling2,
 )
+from countdiag.moments import factorial_moments
 from countdiag.simulate import _binomial_paths, _poisson_paths
 from countdiag.simulate import _markov_mask_from_uniforms
 
@@ -91,6 +92,30 @@ class TestSampleFactorialMoments:
         a = sample_factorial_moments(CountSeries(values, mask), 3).muhat
         b = sample_factorial_moments(CountSeries(garbled, mask), 3).muhat
         assert np.array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_prefix_ends_equal_per_prefix_calls(self, data):
+        rows, T = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 40))
+        cells = st.lists(st.integers(0, 50), min_size=rows * T, max_size=rows * T)
+        values = np.array(data.draw(cells)).reshape(rows, T)
+        mask = (np.array(data.draw(cells)).reshape(rows, T) % 2).astype(np.int8)
+        mask[:, : data.draw(st.integers(0, T))] = 0  # some prefixes fully masked
+        ends = sorted(data.draw(st.sets(st.integers(1, T), min_size=1)))
+        m = data.draw(st.integers(1, 3))
+        got = factorial_moments(values, mask, m, ends)
+        assert got.shape == (m, rows, len(ends))
+        for e, end in enumerate(ends):
+            want = factorial_moments(values[:, :end], mask[:, :end], m)
+            assert np.array_equal(got[..., e], want, equal_nan=True)
+        assert np.array_equal(
+            factorial_moments(values[0], mask[0], m, ends), got[:, 0], equal_nan=True
+        )
+
+    @pytest.mark.parametrize("ends", [[], [0], [3, 3], [2, 1], [6], [[1, 2]]])
+    def test_prefix_ends_validated(self, ends):
+        with pytest.raises(ParameterError, match="prefix ends"):
+            factorial_moments(np.ones((2, 5)), np.ones((2, 5)), 1, ends)
 
     def test_unbiased_over_replications(self):
         # mean of muhat_(k) across replications matches the model moments
