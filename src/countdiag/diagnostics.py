@@ -10,12 +10,11 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DegenerateSeriesError, ParameterError
 from .series import CountSeries
 from .moments import sample_factorial_moments
-from .missingness import dr_acf, estimate_r, estimate_tau
+from .missingness import _two_sided_z, dr_acf, estimate_r, estimate_tau
 from .asymptotics import (
     KIND_BIN_DISPERSION,
     KIND_BIN_SKEWNESS,
@@ -298,7 +297,7 @@ def test_from_params(
         raise ParameterError(f"sided must be 'two', 'upper' or 'lower', got {sided!r}")
     marginal = marginal_params(family, mu, n)
     asym = INDEX_KINDS[f"{family}-{kind}"].markov(marginal, rho, tau, r, T)
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = _two_sided_z(alpha)
     center = asym.null_value + asym.bias
     lower = center - z * asym.sd
     upper = center + z * asym.sd

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,23 +37,15 @@ class Scenario:
     T: int
     replications: int
     master_seed: int
-    indices: Optional[tuple] = None
 
     def __post_init__(self):
         if self.T < 1:
             raise ParameterError(f"T must be >= 1, got {self.T}")
         if self.replications < 1:
             raise ParameterError(f"replications must be >= 1, got {self.replications}")
-        allowed = family_kinds(self.model.family)
-        if self.indices is not None:
-            bad = [k for k in self.indices if k not in allowed]
-            if bad:
-                raise ParameterError(f"index kinds {bad} not valid for this model family")
 
     @property
     def index_kinds(self) -> tuple:
-        if self.indices is not None:
-            return tuple(self.indices)
         return family_kinds(self.model.family)
 
     def key(self) -> str:
@@ -147,12 +140,12 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
             del u
         for model_key, members in by_model.items():
             ends = sorted({cells[i].T for i in members})
-            kinds = [k for k in INDEX_KINDS if any(k in cells[i].index_kinds for i in members)]
+            kinds = cells[members[0]].index_kinds
             values, n = paths[model_key]
             est = _index_estimates(values, mask, kinds, n, ends)
             for i in members:
                 e = ends.index(cells[i].T)
-                out[i] = {kind: est[kind][:, e] for kind in cells[i].index_kinds}
+                out[i] = {kind: est[kind][:, e] for kind in kinds}
         del mask
     return out
 
@@ -239,6 +232,20 @@ def run_scenario(
     return _aggregate(scenario, chunks)
 
 
+def _require_int(key: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+def _require_real(key: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ParameterError(f"{key} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Axes of a scenario grid; defaults mirror the standard study design."""
@@ -256,10 +263,23 @@ class GridConfig:
     def __post_init__(self):
         if self.family not in ("poisson", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
+        _require_real("mu", self.mu)
+        _require_real("rho", self.rho)
+        _require_int("replications", self.replications, 1)
+        _require_int("master_seed", self.master_seed, 0)
+        axes = [("tau", self.taus, None), ("r", self.rs, None), ("T", self.lengths, 1)]
+        if self.family == "binomial":
+            axes.append(("n", self.ns, 2))
+        for key, values, low in axes:
+            if len(values) == 0:
+                raise ParameterError(f"{key} must list at least one value")
+            for value in values:
+                if low is None:
+                    _require_real(key, value)
+                else:
+                    _require_int(key, value, low)
         if self.family == "binomial":
             for n in self.ns:
-                if n < 2:
-                    raise ParameterError(f"n must be >= 2, got {n}")
                 if not 0.0 < self.mu / n < 1.0:
                     raise ParameterError(f"mu={self.mu} incompatible with n={n}")
 
@@ -483,10 +503,14 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
     ignored), and a literal NA token or an empty field marks a missing
     observation.  The first row is a header, and skipped, only if its last
     field is neither a number, NA nor empty; quoted fields are unquoted first.
+    The file must be UTF-8 text.
     """
     na_set = {token.strip() for token in na_values}
-    with open(path, newline="", encoding="utf-8") as f:
-        fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
+    except UnicodeDecodeError as err:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
     if not fields:
         raise CsvFormatError(f"{path}: empty file")
     start = 0

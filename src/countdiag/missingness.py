@@ -4,10 +4,11 @@ the Durbin-Levinson recursion for partial autocorrelations."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DegenerateSeriesError, NumericalDegeneracyError, ParameterError
 from .series import CountSeries
@@ -35,6 +36,18 @@ class AcfEstimate:
     rho_hat: np.ndarray
     tau_lag: np.ndarray
     T: int
+
+
+def _two_sided_z(alpha: float) -> float:
+    """z_{1-alpha/2}, the standard normal quantile of a two-sided level-alpha
+    test (Wichura's AS 241, through the standard library).
+
+    An alpha so small that 1 - alpha/2 rounds to 1 gives an infinite z.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    p = 1.0 - alpha / 2.0
+    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
 def estimate_tau(mask) -> float:
@@ -158,12 +171,10 @@ def acf_critical_band(tau_lag, T: int, alpha: float = 0.05) -> np.ndarray:
     """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    z = _two_sided_z(alpha)
     tl = np.asarray(tau_lag, dtype=np.float64)
     if np.any(tl < 0.0) or np.any(tl > 1.0):
         raise ParameterError("tau_lag entries must lie in [0, 1]")
-    z = norm.ppf(1.0 - alpha / 2.0)
     with np.errstate(divide="ignore"):
         band = z / np.sqrt(T * tl)
     return np.where(tl == 0.0, np.nan, band)

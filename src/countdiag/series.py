@@ -70,14 +70,6 @@ class CountSeries:
     def n_observed(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def fraction_observed(self) -> float:
-        return self.n_observed / self.T
-
-    @property
-    def is_fully_observed(self) -> bool:
-        return self.n_observed == self.T
-
     def observed_values(self) -> np.ndarray:
         return self.values[self.mask == 1]
 
@@ -100,11 +92,6 @@ class PoiInar1:
             raise ParameterError(f"mu must be positive, got {self.mu}")
         if not 0.0 <= self.rho < 1.0:
             raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
-
-    @property
-    def innovation_mean(self) -> float:
-        """Mean of the innovation term, mu * (1 - rho)."""
-        return self.mu * (1.0 - self.rho)
 
     @property
     def mean(self) -> float:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import countdiag
 from countdiag import load_series_csv
 from countdiag.cli import main
 
@@ -98,6 +103,14 @@ class TestDiagnoseCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_error(self, tmp_path, capsys):
+        series = tmp_path / "utf16.csv"
+        series.write_bytes("x\n3\n4\n".encode("utf-16"))
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(series) in err
+
     def test_counts_above_n_is_error(self, tmp_path, capsys):
         series = tmp_path / "above.csv"
         series.write_text("x\n3\n9\n5\n12\n4\n")
@@ -127,6 +140,40 @@ class TestMcCommand:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"replications": "100"}, "replications must be an integer >= 1, got '100'"),
+            ({"replications": 2.5}, "replications must be an integer >= 1, got 2.5"),
+            ({"replications": True}, "replications must be an integer >= 1, got True"),
+            ({"replications": 0}, "replications must be an integer >= 1, got 0"),
+            ({"T": [100.5]}, "T must be an integer >= 1, got 100.5"),
+            ({"T": []}, "T must list at least one value"),
+            ({"tau": []}, "tau must list at least one value"),
+            ({"r": []}, "r must list at least one value"),
+            ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+            ({"master_seed": 1.5}, "master_seed must be an integer >= 0, got 1.5"),
+            ({"mu": "3"}, "mu must be a finite real number, got '3'"),
+            ({"rho": None}, "rho must be a finite real number, got None"),
+            ({"tau": ["0.8"]}, "tau must be a finite real number, got '0.8'"),
+            ({"r": [True]}, "r must be a finite real number, got True"),
+            ({"family": "binomial", "n": []}, "n must list at least one value"),
+            ({"family": "binomial", "n": [10.5]}, "n must be an integer >= 2, got 10.5"),
+            ({"family": "binomial", "n": [False]}, "n must be an integer >= 2, got False"),
+        ],
+    )
+    def test_malformed_config_is_error(self, tmp_path, capsys, override, message):
+        doc = {"family": "poisson", "tau": [0.8], "r": [0.0], "T": [50],
+               "replications": 8, "master_seed": 1}
+        doc.update(override)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "grid.csv"
+        rc = main(["mc", "--config", str(config), "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestCurvesCommand:
     def test_curves_written(self, tmp_path):
@@ -150,3 +197,28 @@ class TestCurvesCommand:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[5]) == pytest.approx(10.0 / 3.0)
         assert float(row[6]) == pytest.approx(-3.0)
+
+
+class TestRuntimeDependencies:
+    def test_simulate_and_diagnose_load_no_scipy(self, tmp_path):
+        series = tmp_path / "series.csv"
+        script = (
+            "import sys\n"
+            "from countdiag import cli\n"
+            f"series = {str(series)!r}\n"
+            "assert cli.main(['simulate', '--model', 'binomial', '--n', '8', '--pi', '0.55',\n"
+            "                 '--rho', '0.8', '--tau', '0.89', '--r', '0.85', '-T', '300',\n"
+            "                 '--seed', '7', '--out', series]) == 0\n"
+            "assert cli.main(['diagnose', '--input', series, '--null', 'binomial',\n"
+            "                 '--n', '8', '--json', '-']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(countdiag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

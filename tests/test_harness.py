@@ -45,10 +45,6 @@ class TestScenario:
         bar = small_scenario(model=Bar1(10, 0.3, 0.5))
         assert bar.index_kinds == ("binomial-dispersion", "binomial-skewness")
 
-    def test_mismatched_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            small_scenario(indices=("binomial-dispersion",))
-
     def test_key_distinguishes_cells(self):
         a, b = small_scenario(), small_scenario(T=250)
         assert a.key() != b.key()
@@ -333,6 +329,13 @@ class TestSeriesCsv:
         p = tmp_path / "s.csv"
         p.write_text("2.0\n3\n")
         assert list(load_series_csv(p).values) == [2, 3]
+
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes("x\n2\n".encode("utf-16"))
+        with pytest.raises(CsvFormatError, match="not UTF-8") as err:
+            load_series_csv(p)
+        assert str(p) in str(err.value)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "s.csv"

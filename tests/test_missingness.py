@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from countdiag import (
@@ -21,6 +21,7 @@ from countdiag import (
     simulate_markov_mask,
     simulate_poi_inar1,
 )
+from countdiag.missingness import _two_sided_z
 from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 
@@ -220,6 +221,23 @@ class TestCriticalBand:
             acf_critical_band([1.2], 100)
         with pytest.raises(ParameterError):
             acf_critical_band([0.5], 100, alpha=1.5)
+
+
+class TestTwoSidedZ:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-12, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(0.05)
+    def test_matches_scipy(self, alpha):
+        z = _two_sided_z(alpha)
+        assert z == pytest.approx(norm.ppf(1.0 - alpha / 2.0), rel=1e-14, abs=0.0)
+
+    def test_unresolvable_alpha_is_infinite(self):
+        assert _two_sided_z(1e-17) == np.inf
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_domain(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            _two_sided_z(alpha)
 
 
 def _band_test_rejection_rate(tau, r, T, R, seed):

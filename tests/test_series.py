@@ -9,13 +9,12 @@ class TestCountSeries:
         s = CountSeries([2, 3, 1], [1, 0, 1])
         assert s.T == 3
         assert s.n_observed == 2
-        assert s.fraction_observed == pytest.approx(2 / 3)
+        assert s.n_observed / s.T == pytest.approx(2 / 3)
         assert list(s.observed_values()) == [2, 1]
 
     def test_default_mask_all_ones(self):
         s = CountSeries.fully_observed([0, 1, 2])
-        assert s.is_fully_observed
-        assert s.n_observed == 3
+        assert s.n_observed == s.T == 3
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -44,14 +43,12 @@ class TestCountSeries:
 
     def test_compact_drops_hidden(self):
         s = CountSeries([2, 9, 1], [1, 0, 1]).compact()
-        assert s.T == 2 and s.is_fully_observed
+        assert s.T == 2 and s.n_observed == s.T
 
 
 class TestModelSpecs:
-    def test_poi_inar1_innovation_mean(self):
-        spec = PoiInar1(3.0, 0.5)
-        assert spec.innovation_mean == pytest.approx(1.5)
-        assert spec.mean == 3.0
+    def test_poi_inar1_mean(self):
+        assert PoiInar1(3.0, 0.5).mean == 3.0
 
     @pytest.mark.parametrize("mu,rho", [(0.0, 0.5), (-1.0, 0.5), (3.0, 1.0), (3.0, -0.1)])
     def test_poi_inar1_domain(self, mu, rho):
