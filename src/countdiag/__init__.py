@@ -7,6 +7,7 @@ from .errors import (
     CountDiagError,
     CsvFormatError,
     DegenerateSeriesError,
+    FileAccessError,
     NumericalDegeneracyError,
     ParameterError,
 )

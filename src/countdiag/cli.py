@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .errors import CountDiagError
+from .errors import CountDiagError, ParameterError
 from .series import Bar1, MissingSpec, PoiInar1, Seed
 from .simulate import apply_mask, simulate_bar1, simulate_markov_mask, simulate_poi_inar1
 from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_indices
@@ -18,6 +18,7 @@ from .harness import (
     format_grid_table,
     grid_config_from_dict,
     load_series_csv,
+    open_text,
     run_grid,
     write_curves_csv,
     write_grid_csv,
@@ -134,14 +135,17 @@ def _cmd_diagnose(args) -> int:
         if args.json_out == "-":
             print(payload)
         else:
-            with open(args.json_out, "w", encoding="utf-8") as f:
+            with open_text(args.json_out, "w") as f:
                 f.write(payload + "\n")
     return 0
 
 
 def _cmd_mc(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    with open_text(args.config, "r") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as err:
+            raise ParameterError(f"{args.config}: not valid JSON ({err})") from None
     config = grid_config_from_dict(doc)
     kwargs = {"workers": args.workers}
     if args.chunk_size is not None:

@@ -23,3 +23,7 @@ class ConvergenceError(CountDiagError, RuntimeError):
 
 class CsvFormatError(CountDiagError, ValueError):
     """An input file could not be parsed as a count series."""
+
+
+class FileAccessError(CountDiagError, OSError):
+    """A file could not be opened for reading or writing."""

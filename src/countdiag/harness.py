@@ -14,7 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CountDiagError, CsvFormatError, DegenerateSeriesError, ParameterError
+from .errors import (
+    CountDiagError,
+    CsvFormatError,
+    DegenerateSeriesError,
+    FileAccessError,
+    ParameterError,
+)
 from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import factorial_moments
@@ -135,9 +141,10 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
         if law_key is None:
             mask = np.ones((size, T), dtype=np.int8)
         else:
-            u = rng(law_key).random((size, T))
-            mask = _markov_mask_from_uniforms(u, missing.tau, missing.r)
-            del u
+            # no name holds the uniforms, so the kernel frees them once read
+            mask = _markov_mask_from_uniforms(
+                rng(law_key).random((size, T)), missing.tau, missing.r
+            )
         for model_key, members in by_model.items():
             ends = sorted({cells[i].T for i in members})
             kinds = cells[members[0]].index_kinds
@@ -206,6 +213,8 @@ def _simulate(cells: Sequence[Scenario], workers: int, chunk_size: int) -> list:
     is deterministic for a fixed (master seed, chunk size, longest T) no
     matter how many workers execute the units.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     if not cells:
         return []
     plan = _chunk_plan(cells[0].replications, chunk_size)
@@ -326,6 +335,8 @@ _GRID_JSON_KEYS = {
 
 def grid_config_from_dict(doc: dict) -> GridConfig:
     """Build a GridConfig from a JSON document; unknown keys are rejected."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"config must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(_GRID_JSON_KEYS))
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
@@ -398,7 +409,7 @@ _GRID_COLUMNS = [
 def write_grid_csv(results: Sequence[ScenarioResult], path) -> None:
     """Write grid results at full precision, one scenario per row."""
     rows = result_rows(results)
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_text(path, "w") as f:
         writer = csv.DictWriter(f, fieldnames=_GRID_COLUMNS, restval="")
         writer.writeheader()
         writer.writerows(rows)
@@ -468,12 +479,25 @@ def emit_curves(
 
 
 def write_curves_csv(rows: Sequence[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_text(path, "w") as f:
         writer = csv.DictWriter(
             f, fieldnames=["index", "tau", "r", "mu", "n", "t_variance", "t_bias"]
         )
         writer.writeheader()
         writer.writerows(rows)
+
+
+def open_text(path, mode: str):
+    """Open a UTF-8 text file for csv or json (mode "r" or "w").
+
+    An OSError, such as a missing file or directory, becomes a
+    FileAccessError naming the path.
+    """
+    try:
+        return open(path, mode, newline="", encoding="utf-8")
+    except OSError as err:
+        action = "read" if mode == "r" else "write"
+        raise FileAccessError(f"cannot {action} {path}: {err.strerror or err}") from None
 
 
 def _parse_count_field(field: str, row_number: int) -> int:
@@ -507,7 +531,7 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
     """
     na_set = {token.strip() for token in na_values}
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open_text(path, "r") as f:
             fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
     except UnicodeDecodeError as err:
         raise CsvFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
@@ -534,7 +558,7 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
 
 def write_series_csv(series: CountSeries, path, na_token: str = "NA") -> None:
     """Write a count series one observation per row, NA for masked positions."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with open_text(path, "w") as f:
         f.write("x\n")
         for value, observed in zip(series.values, series.mask):
             f.write(f"{int(value)}\n" if observed else f"{na_token}\n")

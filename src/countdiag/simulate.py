@@ -72,23 +72,29 @@ def simulate_bar1(spec: Bar1, T: int, seed: Seed) -> CountSeries:
 
 
 def _markov_mask_from_uniforms(u: np.ndarray, tau: float, r: float) -> np.ndarray:
-    """Build stationary Markov mask paths from uniforms along the last axis.
+    """Build stationary int8 Markov mask paths from uniforms along the last axis.
 
-    Uses a latch construction: one uniform per step either forces the state
-    (below P(1|0) -> 1, at or above P(1|1) -> 0) or copies the previous state,
-    which lets the whole chain be filled in vectorized form.  Requires r >= 0
-    so that P(1|0) <= tau <= P(1|1).
+    A latch: one uniform per step either forces the state (below P(1|0) -> 1,
+    at or above P(1|1) -> 0) or copies the previous state.  The first step of
+    each path is forced to u < tau, so on the flattened array every unforced
+    step copies the last forced one before it, and each forced state is
+    repeated over its run.  At r = 0 every step is forced and the mask is
+    u < tau.  Requires r >= 0 so that P(1|0) <= tau <= P(1|1); ``u`` is freed
+    here once read, so pass it without keeping a reference.
     """
     p_gain = tau * (1.0 - r)  # P(O_t = 1 | O_{t-1} = 0)
     p_stay = tau + (1.0 - tau) * r  # P(O_t = 1 | O_{t-1} = 1)
-    T = u.shape[-1]
-    state = np.full(u.shape, -1, dtype=np.int8)
-    state[u < p_gain] = 1
-    state[u >= p_stay] = 0
-    state[..., 0] = (u[..., 0] < tau).astype(np.int8)
-    idx = np.where(state >= 0, np.arange(T), 0)
-    np.maximum.accumulate(idx, axis=-1, out=idx)
-    return np.take_along_axis(state, idx, axis=-1)
+    if p_gain == p_stay:
+        return np.less(u, tau, order="C").view(np.int8)
+    gain = u < p_gain
+    forced = gain | (u >= p_stay)
+    gain[..., 0] = u[..., 0] < tau
+    forced[..., 0] = True
+    del u
+    at = np.flatnonzero(forced)
+    del forced
+    state = gain.ravel()[at].view(np.int8)
+    return np.repeat(state, np.diff(at, append=gain.size)).reshape(gain.shape)
 
 
 def simulate_markov_mask(spec: MissingSpec, T: int, seed: Seed) -> np.ndarray:
@@ -100,9 +106,7 @@ def simulate_markov_mask(spec: MissingSpec, T: int, seed: Seed) -> np.ndarray:
     """
     if T < 1:
         raise ParameterError(f"mask length must be >= 1, got {T}")
-    rng = seed.generator()
-    u = rng.random(T)
-    return _markov_mask_from_uniforms(u, spec.tau, spec.r)
+    return _markov_mask_from_uniforms(seed.generator().random(T), spec.tau, spec.r)
 
 
 def apply_mask(series: CountSeries, mask) -> CountSeries:

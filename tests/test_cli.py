@@ -41,6 +41,14 @@ class TestSimulateCommand:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_in_missing_directory_is_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "series.csv"
+        rc = main(["simulate", "--model", "poisson", "-T", "10", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+
     def test_binomial_requires_params(self, tmp_path):
         rc = main([
             "simulate", "--model", "binomial", "-T", "10",
@@ -103,6 +111,14 @@ class TestDiagnoseCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_input_is_error(self, tmp_path, capsys):
+        series = tmp_path / "missing.csv"
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {series}: No such file or directory\n"
+        )
+
     def test_non_utf8_input_is_error(self, tmp_path, capsys):
         series = tmp_path / "utf16.csv"
         series.write_bytes("x\n3\n4\n".encode("utf-16"))
@@ -132,6 +148,47 @@ class TestMcCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + 2 scenarios
         assert "disp_sim_mean" in lines[0]
+
+    def test_missing_config_is_error(self, tmp_path, capsys):
+        config = tmp_path / "missing.json"
+        out = tmp_path / "grid.csv"
+        rc = main(["mc", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {config}: No such file or directory\n"
+        )
+        assert not out.exists()
+
+    def test_invalid_json_config_is_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"family": ')
+        out = tmp_path / "grid.csv"
+        rc = main(["mc", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: not valid JSON "
+            "(Expecting value: line 1 column 12 (char 11))\n"
+        )
+        assert not out.exists()
+
+    def test_config_not_an_object_is_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        out = tmp_path / "grid.csv"
+        rc = main(["mc", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object, got list\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_error(self, tmp_path, capsys, workers):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": "poisson", "T": [20], "replications": 4}))
+        out = tmp_path / "grid.csv"
+        rc = main(["mc", "--config", str(config), "--out", str(out), "--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"

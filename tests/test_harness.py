@@ -76,6 +76,11 @@ class TestRunScenario:
             assert seq.stats[kind].sim_mean == par.stats[kind].sim_mean
             assert seq.stats[kind].sim_sd == par.stats[kind].sim_sd
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+            run_scenario(small_scenario(), workers=workers)
+
     def test_single_replication_flags_sd(self):
         res = run_scenario(small_scenario(replications=1))
         stat = res.stats["poisson-dispersion"]

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.stats import chisquare
 
 from countdiag import (
@@ -16,7 +18,7 @@ from countdiag import (
     simulate_markov_mask,
     simulate_poi_inar1,
 )
-from countdiag.simulate import _binomial_paths, _poisson_paths
+from countdiag.simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 
 from conftest import bartlett_ar1_se, batch_se, binomial_support, poisson_support
 
@@ -139,6 +141,94 @@ class TestPinnedStreams:
         y = _binomial_paths(10, 0.3, 0.5, 200, 3, np.random.default_rng(7))
         assert y[:, :4].tolist() == [[3, 3, 2, 2], [5, 5, 5, 3], [4, 3, 3, 1]]
         assert _sha256(y) == "685f62f4e22e661d7c4c46138721d970c091f025020b8d245261ccba6a504880"
+
+    @pytest.mark.parametrize(
+        "tau, r, head, digest",
+        [
+            (0.8, 0.6, [1] * 16 + [0] * 4,
+             "2c9aca2785947a70f3d6cfa5f918a0a1bb66276e83b9bc286ee6fc8c4595fe5b"),
+            (0.6, 0.0, [0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0],
+             "675ffb8f372de7128d2e30f23c4c98fbb2e6d3cec9a239deef3d062969fb9e98"),
+        ],
+    )
+    def test_markov_mask(self, tau, r, head, digest):
+        mask = simulate_markov_mask(MissingSpec(tau, r), 1000, Seed(7))
+        assert mask[:20].tolist() == head
+        assert _sha256(mask) == digest
+
+    def test_batched_mask(self):
+        mask = _markov_mask_from_uniforms(np.random.default_rng(7).random((3, 200)), 0.8, 0.6)
+        assert mask[:, :10].tolist() == [
+            [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+            [0, 0, 0, 1, 1, 1, 1, 0, 0, 1],
+            [1, 0, 1, 1, 1, 0, 0, 0, 1, 1],
+        ]
+        assert _sha256(mask) == "9990a5d1e832ebe76f7f0d74ec41ac6ea127458234bc7bc71cf640d03ce1c2a6"
+
+
+def reference_markov_mask(u, tau, r):
+    """The index-array latch that the mask kernel replaced: the state is set
+    to 1 below P(1|0), to 0 at or above P(1|1) and to u < tau in the first
+    column, and every other step takes the state at the last set index."""
+    p_gain = tau * (1.0 - r)
+    p_stay = tau + (1.0 - tau) * r
+    T = u.shape[-1]
+    state = np.full(u.shape, -1, dtype=np.int8)
+    state[u < p_gain] = 1
+    state[u >= p_stay] = 0
+    state[..., 0] = (u[..., 0] < tau).astype(np.int8)
+    idx = np.where(state >= 0, np.arange(T), 0)
+    np.maximum.accumulate(idx, axis=-1, out=idx)
+    return np.take_along_axis(state, idx, axis=-1)
+
+
+@st.composite
+def mask_inputs(draw):
+    """Uniforms of 1 to 3 dimensions with T >= 1, some set exactly at the
+    thresholds P(1|0), P(1|1) and tau, for a law tau in (0, 1], r in [0, 1)."""
+    tau = draw(st.floats(0.0, 1.0, exclude_min=True))
+    r = draw(st.floats(0.0, 1.0, exclude_max=True))
+    edges = [tau * (1.0 - r), tau + (1.0 - tau) * r, tau]
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12))
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    u = draw(arrays(np.float64, shape, elements=st.one_of(uniform, st.sampled_from(edges))))
+    return u, tau, r
+
+
+def _with_edges(u, tau, r):
+    """A copy of ``u`` with many values set exactly at P(1|0), P(1|1) and tau."""
+    u = u.copy()
+    u.flat[::3] = tau * (1.0 - r)
+    u.flat[1::3] = tau + (1.0 - tau) * r
+    u.flat[2::5] = tau
+    return u, tau, r
+
+
+_EDGE_U = np.random.default_rng(3).random((4, 30))
+
+
+class TestMaskKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(mask_inputs())
+    @example(_with_edges(_EDGE_U, 0.7, 0.0))
+    @example(_with_edges(_EDGE_U, 1.0, 0.4))
+    @example(_with_edges(_EDGE_U, 1.0, 0.0))
+    @example(_with_edges(_EDGE_U[0], 0.3, 0.9))
+    @example(_with_edges(_EDGE_U.reshape(2, 3, 20), 0.5, 0.5))
+    @example((np.array([0.25]), 0.5, 0.5))
+    def test_equals_reference_latch(self, inputs):
+        u, tau, r = inputs
+        expected = reference_markov_mask(u, tau, r)
+        got = _markov_mask_from_uniforms(u, tau, r)
+        assert got.dtype == expected.dtype == np.int8
+        assert got.shape == expected.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, expected)
+
+    def test_leaves_uniforms_unchanged(self):
+        u = _EDGE_U.copy()
+        _markov_mask_from_uniforms(u, 0.8, 0.6)
+        assert np.array_equal(u, _EDGE_U)
 
 
 class TestMarkovMask:
