@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,7 +89,9 @@ class TestReport:
     ``lower_critical`` and ``upper_critical`` are ``null_value + bias -+
     z_{1-alpha/2} * sd``; the interval is symmetric around null + bias.  For
     one-sided use the ``sided`` flag restricts which bound drives the
-    decision (the bounds themselves are unchanged).
+    decision (the bounds themselves are unchanged).  ``n_observed`` counts
+    the observed positions the statistic read (None when the report was
+    built from parameters alone).
     """
 
     kind: str
@@ -103,6 +105,7 @@ class TestReport:
     fitted: FittedParams
     alpha: float
     sided: str = "two"
+    n_observed: Optional[int] = None
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -240,20 +243,27 @@ def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParam
     (r = 0 by convention for a constant mask), and rho from the lag-1
     missing-data autocorrelation.  rho and r are clamped into [0, 1) with a
     warning when outside, since the closed-form asymptotics assume
-    non-negative dependence.
+    non-negative dependence.  A series without two adjacent observed
+    positions raises DegenerateSeriesError: its lag-1 autocorrelation reads
+    0 whatever rho is.
     """
     if series.T < 2:
         raise DegenerateSeriesError(f"series too short to fit: T={series.T}, need T >= 2")
     ms = sample_factorial_moments(series, 1)
     mu = float(ms.muhat[0])
     tau = estimate_tau(series.mask)
+    acf = dr_acf(series, 1)
+    if acf.tau_lag[1] == 0.0:
+        raise DegenerateSeriesError(
+            "rho cannot be estimated: no two adjacent positions are both observed "
+            "(no lag-1 pair)"
+        )
     try:
         r = estimate_r(series.mask)
     except DegenerateSeriesError:
         r = 0.0
     r = _clamp_dependence(r, "r")
-    rho = float(dr_acf(series, 1).rho_hat[1])
-    rho = _clamp_dependence(rho, "rho")
+    rho = _clamp_dependence(float(acf.rho_hat[1]), "rho")
     return FittedParams(mu=mu, rho=rho, tau=tau, r=r, T=series.T, n=n)
 
 
@@ -364,6 +374,7 @@ def test_indices(
             statistic=spec.statistic(work, null.n),
             sided=sided,
         )
+        report = replace(report, n_observed=work.n_observed)
         if sided != "upper" and report.lower_critical < 0.0:  # every index is >= 0
             warnings.warn(
                 f"fitted rho = {fitted.rho:.4f} gives the critical range [{report.lower_critical:.4f}, "

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
-from .moments import factorial_moments
+from .moments import Tally, factorial_moments
 from .asymptotics import IndexAsymptotics
 from .diagnostics import INDEX_KINDS, family_kinds, marginal_params
 
@@ -100,13 +100,18 @@ def _chunk_seed_sequence(master_seed: int, key: str, chunk_index: int):
     )
 
 
-def _index_estimates(values, mask, kinds, n=None, ends=None) -> dict:
+def _index_estimates(tally, mask, kinds, n=None) -> dict:
     """Index estimates per replication row; NaN marks a degenerate one.
 
-    With ``ends`` each estimate gains a last axis, one entry per prefix
-    ``[:, :end]`` (see ``factorial_moments``).
+    ``tally`` is a :class:`Tally` of the paths, read once under ``mask``;
+    with prefix ends each estimate gains a last axis, one entry per prefix
+    ``[:, :end]``.  Raw counts are read through ``factorial_moments``.
     """
-    muhat = factorial_moments(values, mask, max(INDEX_KINDS[k].order for k in kinds), ends)
+    order = max(INDEX_KINDS[k].order for k in kinds)
+    if isinstance(tally, Tally):
+        muhat = tally.moments(mask, order)
+    else:
+        muhat = factorial_moments(tally, mask, order)
     return {kind: INDEX_KINDS[kind].estimate(muhat, n) for kind in kinds}
 
 
@@ -114,11 +119,12 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
     """One chunk of replications of every cell; per cell, its index estimates.
 
     The cells share the master seed.  Each model's paths are drawn once, from
-    the stream keyed by (master seed, model, chunk), and each mask law's mask
-    once, from (master seed, law, chunk), both at the cells' longest T; every
-    cell reads the prefix of its own T.  An all-observed law (tau = 1) draws no
-    stream and shares one mask whatever r is.  Laws are taken one at a time,
-    so that a single mask is alive.
+    the stream keyed by (master seed, model, chunk), at the cells' longest T,
+    and tallied in place with the model's distinct T as prefix ends.  Each
+    mask law's mask is drawn once, from (master seed, law, chunk), and every
+    tally is read under it; every cell takes the prefix of its own T.  An
+    all-observed law (tau = 1) draws no stream and shares one mask whatever r
+    is.  Laws are taken one at a time, so that a single mask is alive.
     """
     T = max(c.T for c in cells)
 
@@ -126,16 +132,19 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
         seed = _chunk_seed_sequence(cells[0].master_seed, key, chunk_index)
         return np.random.default_rng(seed)
 
-    paths, laws = {}, {}
+    lengths, laws = {}, {}
     for i, c in enumerate(cells):
-        m, model_key = c.model, _model_key(c.model)
-        if model_key not in paths:
-            if isinstance(m, PoiInar1):
-                paths[model_key] = _poisson_paths(m.mu, m.rho, T, size, rng(model_key)), None
-            else:
-                paths[model_key] = _binomial_paths(m.n, m.pi, m.rho, T, size, rng(model_key)), m.n
+        model_key = _model_key(c.model)
+        lengths.setdefault(model_key, (c.model, set()))[1].add(c.T)
         law_key = None if c.missing.tau >= 1.0 else _law_key(c.missing)
         laws.setdefault(law_key, (c.missing, {}))[1].setdefault(model_key, []).append(i)
+    tallies = {}
+    for model_key, (m, ends) in lengths.items():
+        if isinstance(m, PoiInar1):
+            paths, n = _poisson_paths(m.mu, m.rho, T, size, rng(model_key)), None
+        else:
+            paths, n = _binomial_paths(m.n, m.pi, m.rho, T, size, rng(model_key)), m.n
+        tallies[model_key] = Tally(paths, sorted(ends)), n  # the keys overwrite the paths
     out = [None] * len(cells)
     for law_key, (missing, by_model) in laws.items():
         if law_key is None:
@@ -146,12 +155,11 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
                 rng(law_key).random((size, T)), missing.tau, missing.r
             )
         for model_key, members in by_model.items():
-            ends = sorted({cells[i].T for i in members})
+            tally, n = tallies[model_key]
             kinds = cells[members[0]].index_kinds
-            values, n = paths[model_key]
-            est = _index_estimates(values, mask, kinds, n, ends)
+            est = _index_estimates(tally, mask, kinds, n)
             for i in members:
-                e = ends.index(cells[i].T)
+                e = tally.ends.index(cells[i].T)
                 out[i] = {kind: est[kind][:, e] for kind in kinds}
         del mask
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -58,46 +58,122 @@ class MomentSummary:
     tauhat: float
 
 
+class Tally:
+    """The counts of (..., T) rows as histogram keys, for masked factorial moments.
+
+    Simulated and observed counts are small integers, so a row's factorial
+    moments are its value histogram times a falling-factorial table.  The
+    tally is the per-paths half of that product: position t of row i holds
+    the bin key ``(i * S + s) * V + x - lo``, where s is the slot of t among
+    the S prefix ``ends`` and ``lo..lo+V-1`` the value window.  The per-mask
+    half, :meth:`moments`, is one ``bincount`` of the keys weighted by the
+    mask.  The window starts at the least count and holds at most
+    ``ends[-1] // S`` values, so the histogram never has more bins than the
+    tally has positions, whatever the counts.  The rare counts above the
+    window are kept aside (flat position, row-and-slot group, value), and
+    their key is one spare bin past the windows; a second weighted
+    ``bincount`` adds them per group.
+
+    ``counts`` must be integers; an int64 array is overwritten with the keys,
+    so pass one that nothing else reads.
+    """
+
+    def __init__(self, counts, ends=None):
+        counts = np.asarray(counts)
+        T = counts.shape[-1]
+        if ends is None:
+            bounds = np.array([T], dtype=np.intp)
+        else:
+            bounds = np.asarray(ends, dtype=np.intp)
+            if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or bounds[-1] > T or np.any(
+                np.diff(bounds) <= 0
+            ):
+                raise ParameterError(
+                    f"prefix ends must increase strictly within 1..{T}, got {bounds.tolist()}"
+                )
+        self.ends = None if ends is None else bounds.tolist()
+        self.lead = counts.shape[:-1]
+        n, S = int(bounds[-1]), bounds.size
+        rows = prod(self.lead)
+        key = counts.astype(np.int64, copy=False)[..., :n].reshape(rows, n)
+        lo, hi = (int(key.min()), int(key.max())) if key.size else (0, 0)
+        V = max(1, min(hi - lo + 1, n // S))
+        at = np.flatnonzero(key >= lo + V)
+        row, col = np.divmod(at, n)
+        value = key[row, col]
+        for s in range(1, S):
+            key[:, bounds[s - 1] : bounds[s]] += s * V
+        key += (V * S * np.arange(rows) - lo)[:, None]
+        key[row, col] = rows * S * V  # one spare bin past the windows
+        row *= S
+        row += np.searchsorted(bounds, col, side="right")  # the row-and-slot group
+        self.outside = (at, row, value)
+        self.key, self.lo, self.width, self.segments = key, lo, V, S
+
+    def moments(self, mask, m: int) -> np.ndarray:
+        """Factorial moments of orders 1..m over the mask-1 positions of each row.
+
+        ``muhat[k-1]`` is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with
+        nothing observed; with ``ends`` a last axis holds one entry per prefix
+        ``[..., :end]``.  ``mask`` has the counts' shape, or a longer last axis.
+        Every sum is of integer-valued float64, exact below 2**53 in any order,
+        so each moment equals the elementwise masked sum bit for bit there.
+        """
+        if m < 1:
+            raise ParameterError(f"max order must be >= 1, got {m}")
+        rows, n = self.key.shape
+        S, V = self.segments, self.width
+        groups = rows * S
+        observed = np.asarray(mask)[..., :n].reshape(rows, n) == 1
+        hist = np.bincount(self.key.ravel(), weights=observed.ravel(), minlength=groups * V + 1)
+        hist = hist[: groups * V].reshape(groups, V)
+        at, group, value = self.outside
+        seen = observed.ravel()[at]
+        del observed
+        group, value = group[seen], value[seen]
+        n_obs = hist.sum(axis=1) + np.bincount(group, minlength=groups)
+        # the table stops at the largest count observed within the window
+        width = 1 + np.flatnonzero(hist.any(axis=0)).max(initial=0)
+        table = np.stack(list(_falling(self.lo + np.arange(width), m)), axis=-1)
+        sums = hist[:, :width] @ table
+        del hist
+        for k, fk in enumerate(_falling(value, m)):
+            sums[:, k] += np.bincount(group, weights=fk, minlength=groups)
+        n_obs = n_obs.reshape(rows, S).cumsum(axis=1)
+        sums = sums.reshape(rows, S, m).cumsum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            muhat = np.moveaxis(sums / n_obs[..., None], -1, 0)
+        muhat = muhat.reshape((m,) + self.lead + (S,))
+        return muhat if self.ends is not None else muhat[..., 0]
+
+
+def _falling(x, m: int):
+    """x_(1), ..., x_(m) of the entries of x in float64, by the products
+    x (x-1) ... of :func:`falling_factorial`."""
+    x = fk = np.asarray(x, dtype=np.float64)
+    yield fk
+    for k in range(1, m):
+        fk = fk * (x - k)
+        yield fk
+
+
 def factorial_moments(values, mask, m: int, ends=None) -> np.ndarray:
-    """Sample factorial moments of orders 1..m of each row of (..., T) values.
+    """Sample factorial moments of orders 1..m of each row of (..., T) counts.
 
     Only mask-1 positions are read: the k-th moment of a row, ``muhat[k-1]``,
     is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with nothing observed.
-
     With ``ends``, strictly increasing lengths in 1..T, the moments of every
-    prefix ``[..., :end]`` come out along a new last axis from one pass: sums
-    over the segments between consecutive ends, accumulated.  Partial sums of
-    integer-valued float64 below 2**53 are exact in any order, so each prefix
-    equals its own call bit for bit.
-    """
-    if m < 1:
-        raise ParameterError(f"max order must be >= 1, got {m}")
-    observed = mask == 1
-    x = np.where(observed, values, 0).astype(np.float64)
-    if ends is None:
-        def total(a, dtype=None):
-            return a.sum(axis=-1, dtype=dtype)
-    else:
-        ends = np.asarray(ends, dtype=np.intp)
-        T = x.shape[-1]
-        if ends.ndim != 1 or ends.size == 0 or ends[0] < 1 or ends[-1] > T or np.any(
-            np.diff(ends) <= 0
-        ):
-            raise ParameterError(
-                f"prefix ends must increase strictly within 1..{T}, got {ends.tolist()}"
-            )
-        starts = np.concatenate(([0], ends[:-1]))
-        x, observed = x[..., : ends[-1]], observed[..., : ends[-1]]
+    prefix ``[..., :end]`` come out along a new last axis from one pass.
 
-        def total(a, dtype=None):
-            return np.add.reduceat(a, starts, axis=-1, dtype=dtype).cumsum(axis=-1)
-    n_obs = total(observed, np.intp)
-    muhat = np.empty((m,) + n_obs.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(m):
-            fk = fk * (x - k) if k else x
-            muhat[k] = total(fk) / n_obs
-    return muhat
+    The one-shot view of :class:`Tally`: masked positions are overwritten,
+    the counts tallied and the tally read once under the mask.
+    """
+    values, observed = np.asarray(values), np.asarray(mask) == 1
+    # masked positions take the first observed count (0 if none): their keys
+    # are never read, and the window still starts at the least observed count
+    first = np.argmax(observed)
+    counts = np.where(observed, values, values.flat[first] if observed.flat[first] else 0)
+    return Tally(counts, ends).moments(mask, m)
 
 
 def sample_factorial_moments(series: CountSeries, m: int) -> MomentSummary:

@@ -94,6 +94,27 @@ class TestDiagnoseCommand:
             assert r["lower_critical"] <= r["upper_critical"]
             assert r["decision"] in ("reject", "retain")
 
+    def test_json_counts_observed_positions(self, series_file, tmp_path):
+        payload = tmp_path / "report.json"
+        rc = main([
+            "diagnose", "--input", str(series_file), "--null", "binomial",
+            "--n", "10", "--json", str(payload),
+        ])
+        assert rc == 0
+        n_observed = load_series_csv(series_file).n_observed
+        assert n_observed < 500
+        assert [r["n_observed"] for r in json.loads(payload.read_text())] == [n_observed] * 2
+
+    def test_no_lag1_pair_is_error(self, tmp_path, capsys):
+        series = tmp_path / "alternate.csv"
+        series.write_text("x\n" + "3\nNA\n5\nNA\n2\nNA\n4\nNA\n1\n")
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: rho cannot be estimated: no two adjacent positions are both "
+            "observed (no lag-1 pair)\n"
+        )
+
     def test_ignore_missing_flag(self, series_file, tmp_path):
         payload = tmp_path / "report.json"
         rc = main([

@@ -217,6 +217,24 @@ class TestFitNullParams:
             fitted = fit_null_params(series)
         assert fitted.rho == 0.0
 
+    def test_no_lag1_pair_raises(self):
+        # every other position observed: the lag-1 autocorrelation reads 0
+        # whatever rho is, which gave rho = 0 and a far too narrow range
+        series = simulate_poi_inar1(PoiInar1(3.0, 0.9), 2000, Seed(83))
+        masked = apply_mask(series, np.array([1, 0] * 1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no clamp warning comes first
+            with pytest.raises(DegenerateSeriesError, match="no lag-1 pair"):
+                fit_null_params(masked)
+            with pytest.raises(DegenerateSeriesError, match="no lag-1 pair"):
+                run_test_index(masked, NullSpec("poisson"), "dispersion")
+        one_pair = np.array([1, 0] * 1000)
+        one_pair[1] = 1
+        with pytest.warns(UserWarning, match="estimated r"):
+            assert fit_null_params(apply_mask(series, one_pair)).T == 2000
+        compacted = NullSpec("poisson", ignore_missing=True)
+        assert run_test_index(masked, compacted, "dispersion").fitted.T == 1000
+
 
 class TestTestFromParams:
     def test_symmetric_interval_identity(self):
@@ -265,6 +283,7 @@ class TestTestFromParams:
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["kind"] == "binomial-skewness"
         assert payload["fitted"]["n"] == 10
+        assert payload["n_observed"] is None  # built from parameters alone
 
 
 class TestTestIndex:
@@ -291,6 +310,15 @@ class TestTestIndex:
         rep = run_test_index(series, NullSpec("binomial", n=10), "dispersion")
         assert rep.decision == "retain"
         assert rep.fitted.n == 10
+
+    def test_report_counts_observed_positions(self):
+        series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 1500, Seed(96))
+        masked = apply_mask(series, simulate_markov_mask(MissingSpec(0.7, 0.4), 1500, Seed(97)))
+        for ignore in (False, True):
+            null = NullSpec("poisson", ignore_missing=ignore)
+            for rep in run_test_indices(masked, null, ("dispersion", "skewness")):
+                assert rep.n_observed == masked.n_observed
+                assert list(rep.to_dict())[-1] == "n_observed"
 
     def test_ignore_missing_compacts_series(self):
         series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 3000, Seed(94))

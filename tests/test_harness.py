@@ -205,6 +205,35 @@ class TestGridStreams:
         sim = [{k: v for k, v in row.items() if "sim" in k or "failures" in k} for row in rows]
         assert sim[0] == sim[1] == sim[2]
 
+    @pytest.mark.parametrize("taus,rs", [((0.8,), (0.3,)), ((1.0, 0.8, 0.6), (0.0, 0.3, 0.6))])
+    def test_one_tally_per_model_and_chunk(self, monkeypatch, taus, rs):
+        import countdiag.harness as harness
+
+        built = []
+
+        class Recording(harness.Tally):
+            def __init__(self, paths, ends):
+                built.append(list(ends))
+                super().__init__(paths, ends)
+
+        monkeypatch.setattr(harness, "Tally", Recording)
+        config = GridConfig(
+            "binomial", ns=(10, 25), taus=taus, rs=rs, lengths=(50, 120), replications=300
+        )
+        run_grid(config, chunk_size=128)  # three chunks of two models
+        assert built == [[50, 120]] * 6
+
+    def test_rows_unchanged_by_other_laws_and_lengths(self, tmp_path):
+        axes = dict(replications=300, master_seed=5)
+        small = GridConfig("poisson", taus=(0.8,), rs=(0.3,), lengths=(60, 150), **axes)
+        large = GridConfig(
+            "poisson", taus=(1.0, 0.8, 0.6), rs=(0.0, 0.3), lengths=(60, 100, 150), **axes
+        )
+        small_lines = self._lines(run_grid(small, chunk_size=128), tmp_path / "small.csv")
+        large_lines = self._lines(run_grid(large, chunk_size=128), tmp_path / "large.csv")
+        assert len(small_lines) == 3
+        assert [line for line in large_lines if line in small_lines] == small_lines
+
     def test_pool_capped_at_units(self, monkeypatch):
         import countdiag.harness as harness
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from countdiag import (
     sample_factorial_moments,
     stirling2,
 )
-from countdiag.moments import factorial_moments
+from countdiag.moments import Tally, factorial_moments
 from countdiag.simulate import _binomial_paths, _poisson_paths
 from countdiag.simulate import _markov_mask_from_uniforms
 
@@ -33,6 +35,31 @@ from conftest import (
 )
 
 PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+
+
+def reference_factorial_moments(values, mask, m, ends=None):
+    """The elementwise masked loop: (X_t)_(k) per position in float64, summed
+    over each row (or each prefix segment, accumulated) and divided by the
+    observed count.  The oracle of the tally kernel."""
+    observed = mask == 1
+    x = np.where(observed, values, 0).astype(np.float64)
+    if ends is None:
+        def total(a, dtype=None):
+            return a.sum(axis=-1, dtype=dtype)
+    else:
+        ends = np.asarray(ends, dtype=np.intp)
+        starts = np.concatenate(([0], ends[:-1]))
+        x, observed = x[..., : ends[-1]], observed[..., : ends[-1]]
+
+        def total(a, dtype=None):
+            return np.add.reduceat(a, starts, axis=-1, dtype=dtype).cumsum(axis=-1)
+    n_obs = total(observed, np.intp)
+    muhat = np.empty((m,) + n_obs.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            fk = fk * (x - k) if k else x
+            muhat[k] = total(fk) / n_obs
+    return muhat
 
 
 class TestFallingFactorial:
@@ -142,6 +169,101 @@ class TestSampleFactorialMoments:
         ratios = (ob * xb).sum(axis=1) / ob.sum(axis=1)
         se = ratios.std(ddof=1) / np.sqrt(n_batches)
         assert abs(ms.muhat[0] - 3.0) < 3 * se
+
+
+class TestTallyKernel:
+    """The tally kernel against the elementwise loop.  Sums of integer-valued
+    float64 below 2**53 are exact in any order, so the two agree bit for bit;
+    ``array_equal`` also lets the loop's 0 * (0 - 1) = -0.0 equal 0.0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_elementwise_loop(self, data):
+        lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        T = data.draw(st.integers(1, 30))
+        shape, size = lead + (T,), int(np.prod(lead + (T,)))
+        top = data.draw(st.sampled_from([1, 5, 60, 20_000]))
+        observed = st.integers(0, top)
+        values = np.array(data.draw(st.lists(observed, min_size=size, max_size=size)))
+        mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+        values, mask = values.reshape(shape), mask.reshape(shape).astype(np.int8)
+        if lead and data.draw(st.booleans()):
+            mask[(0,) * (len(lead) - 1)] = 0  # one row with nothing observed
+        garbage = st.integers(-(10**6), 10**6)
+        hidden = mask == 0
+        count = int(hidden.sum())
+        values[hidden] = data.draw(st.lists(garbage, min_size=count, max_size=count))
+        ends = data.draw(st.none() | st.sets(st.integers(1, T), min_size=1).map(sorted))
+        m = data.draw(st.integers(1, 3))
+        got = factorial_moments(values, mask, m, ends)
+        want = reference_factorial_moments(values, mask, m, ends)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_tally_reads_under_many_masks(self):
+        rng = np.random.default_rng(11)
+        x = _poisson_paths(3.0, 0.5, 300, 50, rng)
+        tally = Tally(x.copy(), [40, 200, 300])
+        for tau, r in ((0.9, 0.0), (0.6, 0.5), (0.3, 0.8)):
+            mask = _markov_mask_from_uniforms(rng.random((50, 300)), tau, r)
+            want = reference_factorial_moments(x, mask, 3, [40, 200, 300])
+            assert np.array_equal(tally.moments(mask, 3), want, equal_nan=True)
+
+    def test_tally_overwrites_int64_counts_only(self):
+        x = np.array([[3, 1, 4], [1, 5, 9]])
+        Tally(x)
+        assert not np.array_equal(x, [[3, 1, 4], [1, 5, 9]])
+        y = [[3, 1, 4], [1, 5, 9]]
+        narrow = np.array(y, dtype=np.int32)
+        Tally(narrow)
+        assert np.array_equal(narrow, y)
+        values = np.array(y)
+        factorial_moments(values, np.ones((2, 3)), 2)
+        assert np.array_equal(values, y)
+
+    def test_order_validated(self):
+        with pytest.raises(ParameterError, match="max order"):
+            factorial_moments(np.ones(4), np.ones(4), 0)
+
+    @staticmethod
+    def _peak_bytes(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_count_of_a_billion(self):
+        # the window stops at T values past the least count; the billion is
+        # summed apart instead of widening the histogram to 10**9 bins
+        rng = np.random.default_rng(5)
+        T = 100_000
+        values = rng.poisson(3, T)
+        values[T // 2] = 10**9
+        mask = (rng.random(T) < 0.8).astype(np.int8)
+        mask[T // 2] = 1
+        got, peak = self._peak_bytes(lambda: factorial_moments(values, mask, 3))
+        assert peak < 4 * (values.nbytes + mask.nbytes)
+        want = reference_factorial_moments(values, mask, 3)
+        assert got[0] == want[0]  # order 1 sums stay below 2**53
+        # orders 2 and 3 exceed 2**53: the loop's pairwise sum rounds within
+        # about log2(T) ulps, the tally once when it adds the billion's term
+        np.testing.assert_allclose(got[1:], want[1:], rtol=(np.log2(T) + 2) * np.finfo(float).eps)
+
+    def test_wide_poisson_chunk(self):
+        # mu = 1e4: counts span about a thousand values far from 0, and every
+        # sum stays below 2**53.  With one length the window covers them; with
+        # the grid's four prefix ends it is 250 wide, nearly every count lies
+        # above it, and the kept-aside counts cost three int64 each.
+        rng = np.random.default_rng(6)
+        values = _poisson_paths(1e4, 0.5, 1000, 2048, rng)
+        mask = _markov_mask_from_uniforms(rng.random((2048, 1000)), 0.8, 0.3)
+        for ends, bound in ((None, 4), ([100, 250, 500, 1000], 8)):
+            got, peak = self._peak_bytes(lambda: factorial_moments(values, mask, 3, ends))
+            assert peak < bound * (values.nbytes + mask.nbytes)
+            want = reference_factorial_moments(values, mask, 3, ends)
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestMarginalFactorialMoments:
