@@ -20,7 +20,6 @@ from .simulate import (
 )
 from .moments import (
     BinomialArMoments,
-    MomentSummary,
     PoissonArMoments,
     RawMoments,
     bbin_mixed_factorial,
@@ -53,7 +52,6 @@ from .asymptotics import (
     raw_poi_dispersion_asym,
     sigma_binomial_markov,
     sigma_poisson_markov,
-    sigma_star,
     skew_asym_binomial_markov,
     skew_asym_general,
     skew_asym_poisson_markov,

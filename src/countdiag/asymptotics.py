@@ -20,16 +20,14 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalDegeneracyError, ParameterError
 
-KIND_POI_DISPERSION = "poisson-dispersion"
-KIND_BIN_DISPERSION = "binomial-dispersion"
-KIND_POI_SKEWNESS = "poisson-skewness"
-KIND_BIN_SKEWNESS = "binomial-skewness"
-
 #: Observation probabilities below this are rejected as numerically meaningless.
 MIN_TAU = 0.01
 
-_DEFAULT_RTOL = 1e-12
-_DEFAULT_LAG_CAP = 10**6
+#: A lag series stops once _SMALL_RUN successive terms are below _RTOL relative
+#: to its running scale, and fails with ConvergenceError after _LAG_CAP lags.
+_RTOL = 1e-12
+_LAG_CAP = 10**6
+_SMALL_RUN = 4
 
 
 @dataclass(frozen=True)
@@ -41,11 +39,9 @@ class IndexAsymptotics:
     ``null_value + bias +- z_{1-alpha/2} * sqrt(variance)``.
     """
 
-    kind: str
     null_value: float
     variance: float
     bias: float
-    T: int
 
     @property
     def sd(self) -> float:
@@ -83,9 +79,6 @@ class SequenceMaskLaw:
             return float(self._vals[h - 1])
         return self.tau**2
 
-    def mask_autocovariance(self, h: int) -> float:
-        return self.lagged_product(h) - self.tau**2
-
 
 def _check_mask_params(tau: float, r: float) -> None:
     if not 0.0 < tau <= 1.0:
@@ -118,51 +111,39 @@ def kappa(s: int, tau: float, r: float, rho: float) -> float:
     )
 
 
-def _sum_lagged(
-    term: Callable[[int], float],
-    rtol: float,
-    lag_cap: int,
-    consecutive: int = 4,
-) -> float:
+def _sum_lagged(term: Callable[[int], float]) -> float:
     """Sum term(h) over h = 1, 2, ... until the terms are negligible.
 
-    Stops once `consecutive` successive terms fall below rtol relative to the
-    running scale; raises if the cap is hit first.
+    Stops once _SMALL_RUN successive terms fall below _RTOL relative to the
+    running scale; raises if _LAG_CAP lags are summed first.
     """
     total = 0.0
     scale = 1e-300
     small = 0
-    for h in range(1, lag_cap + 1):
+    for h in range(1, _LAG_CAP + 1):
         t = term(h)
         total += t
         scale = max(scale, abs(t), abs(total))
-        if abs(t) <= rtol * scale:
+        if abs(t) <= _RTOL * scale:
             small += 1
-            if small >= consecutive:
+            if small >= _SMALL_RUN:
                 return total
         else:
             small = 0
     raise ConvergenceError(
-        f"lagged series did not converge within {lag_cap} lags (rtol={rtol})"
+        f"lagged series did not converge within {_LAG_CAP} lags (relative tolerance {_RTOL})"
     )
 
 
-def clt_sigma_general(
-    i: int,
-    j: int,
-    moments,
-    mask_law,
-    rtol: float = _DEFAULT_RTOL,
-    lag_cap: int = _DEFAULT_LAG_CAP,
-) -> float:
+def clt_sigma_general(i: int, j: int, moments, mask_law) -> float:
     """sigma_ij of the limiting normal law of the factorial-moment estimates.
 
     ``moments`` is an oracle with ``univariate(k)`` and ``mixed(k, s, h)``;
     ``mask_law`` has ``tau`` and ``lagged_product(h)`` (e.g. MissingSpec or
     SequenceMaskLaw).  Evaluates (1/tau)(mu_(i,j)(0) - mu_(i) mu_(j)) +
     (1/tau**2) sum_{h>=1} tau(h) (mu_(j,i)(h) + mu_(i,j)(h) - 2 mu_(i) mu_(j))
-    by direct summation of the lag series, truncated at relative tolerance
-    ``rtol`` and failing after ``lag_cap`` lags.
+    by direct summation of the lag series, truncated at a relative tolerance
+    of 1e-12 and failing after 10**6 lags.
     """
     if i < 1 or j < 1:
         raise ParameterError("orders i, j must be >= 1")
@@ -179,40 +160,10 @@ def clt_sigma_general(
             both = moments.mixed(j, i, h) + moments.mixed(i, j, h)
         return mask_law.lagged_product(h) * (both - 2.0 * mi * mj)
 
-    return lag0 / tau + _sum_lagged(term, rtol, lag_cap) / tau**2
+    return lag0 / tau + _sum_lagged(term) / tau**2
 
 
-def sigma_star(
-    i: int,
-    j: int,
-    moments,
-    mask_law,
-    rtol: float = _DEFAULT_RTOL,
-    lag_cap: int = _DEFAULT_LAG_CAP,
-) -> float:
-    """Covariance entry of the un-normalized modulated averages.
-
-    Three cases: the pure mask entry (i = j = 0) equals tau(1-tau) +
-    2 sum_h gamma_O(h); a mixed entry (i = 0 < j) equals the mask entry times
-    mu_(j); and for i, j > 0 it is tau**2 sigma_ij plus the mask entry times
-    mu_(i) mu_(j).
-    """
-    if i < 0 or j < 0:
-        raise ParameterError("orders must be non-negative")
-    if i > j:
-        i, j = j, i
-    tau = mask_law.tau
-    s00 = tau * (1.0 - tau) + 2.0 * _sum_lagged(mask_law.mask_autocovariance, rtol, lag_cap)
-    if j == 0:
-        return s00
-    if i == 0:
-        return s00 * moments.univariate(j)
-    return tau**2 * clt_sigma_general(i, j, moments, mask_law, rtol, lag_cap) + (
-        s00 * moments.univariate(i) * moments.univariate(j)
-    )
-
-
-def _delta_method(grad, hess, moments, mask_law, T: int, rtol: float, lag_cap: int):
+def _delta_method(grad, hess, moments, mask_law, T: int):
     """Variance g' Sigma g / T and bias tr(H Sigma) / (2T) of a smooth index.
 
     ``grad`` and ``hess`` are the gradient and Hessian of the index in the
@@ -223,9 +174,7 @@ def _delta_method(grad, hess, moments, mask_law, T: int, rtol: float, lag_cap: i
     sigma = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            sigma[i, j] = sigma[j, i] = clt_sigma_general(
-                i + 1, j + 1, moments, mask_law, rtol, lag_cap
-            )
+            sigma[i, j] = sigma[j, i] = clt_sigma_general(i + 1, j + 1, moments, mask_law)
     g, h = np.asarray(grad, dtype=np.float64), np.asarray(hess, dtype=np.float64)
     return float(g @ sigma @ g) / T, 0.5 * float(np.sum(h * sigma)) / T
 
@@ -299,13 +248,7 @@ def _check_T(T: int) -> None:
         raise ParameterError(f"sample size T must be a positive integer, got {T}")
 
 
-def poi_dispersion_asym_general(
-    moments,
-    mask_law,
-    T: int,
-    rtol: float = _DEFAULT_RTOL,
-    lag_cap: int = _DEFAULT_LAG_CAP,
-) -> IndexAsymptotics:
+def poi_dispersion_asym_general(moments, mask_law, T: int) -> IndexAsymptotics:
     """Asymptotics of the dispersion index for any count family, via series.
 
     Driven entirely by the moment oracle (orders up to four and joint moments
@@ -319,8 +262,8 @@ def poi_dispersion_asym_general(
     m2 = moments.univariate(2)
     grad = (-m2 / mu**2 - 1.0, 1.0 / mu)
     hess = ((2.0 * m2 / mu**3, -1.0 / mu**2), (-1.0 / mu**2, 0.0))
-    variance, bias = _delta_method(grad, hess, moments, mask_law, T, rtol, lag_cap)
-    return IndexAsymptotics(KIND_POI_DISPERSION, 1.0, variance, bias, T)
+    variance, bias = _delta_method(grad, hess, moments, mask_law, T)
+    return IndexAsymptotics(1.0, variance, bias)
 
 
 def poi_dispersion_asym_markov(
@@ -335,17 +278,10 @@ def poi_dispersion_asym_markov(
         raise ParameterError(f"mu must be positive, got {mu}")
     variance = 2.0 / T * kappa(2, tau, r, rho)
     bias = -1.0 / T * kappa(1, tau, r, rho)
-    return IndexAsymptotics(KIND_POI_DISPERSION, 1.0, variance, bias, T)
+    return IndexAsymptotics(1.0, variance, bias)
 
 
-def bin_dispersion_asym_general(
-    n: int,
-    moments,
-    mask_law,
-    T: int,
-    rtol: float = _DEFAULT_RTOL,
-    lag_cap: int = _DEFAULT_LAG_CAP,
-) -> IndexAsymptotics:
+def bin_dispersion_asym_general(n: int, moments, mask_law, T: int) -> IndexAsymptotics:
     """Asymptotics of the bounded-count dispersion index, via series.
 
     The delta method for the index N / D, N = mu_(2) + mu - mu**2 and
@@ -366,8 +302,8 @@ def bin_dispersion_asym_general(
     ) / den
     h12 = -dden / den**2
     hess = ((h11, h12), (h12, 0.0))
-    variance, bias = _delta_method(grad, hess, moments, mask_law, T, rtol, lag_cap)
-    return IndexAsymptotics(KIND_BIN_DISPERSION, 1.0, variance, bias, T)
+    variance, bias = _delta_method(grad, hess, moments, mask_law, T)
+    return IndexAsymptotics(1.0, variance, bias)
 
 
 def bin_dispersion_asym_markov(
@@ -383,17 +319,10 @@ def bin_dispersion_asym_markov(
     shrink = 1.0 - 1.0 / n
     variance = 2.0 / T * shrink * kappa(2, tau, r, rho)
     bias = -1.0 / T * shrink * kappa(1, tau, r, rho)
-    return IndexAsymptotics(KIND_BIN_DISPERSION, 1.0, variance, bias, T)
+    return IndexAsymptotics(1.0, variance, bias)
 
 
-def skew_asym_general(
-    moments,
-    mask_law,
-    T: int,
-    rtol: float = _DEFAULT_RTOL,
-    lag_cap: int = _DEFAULT_LAG_CAP,
-    kind: str = "skewness",
-) -> IndexAsymptotics:
+def skew_asym_general(moments, mask_law, T: int) -> IndexAsymptotics:
     """Asymptotics of the skewness index for any count family, via series.
 
     Delta-method combination of the sigma_ij for i, j <= 3 with the Jacobian
@@ -416,8 +345,8 @@ def skew_asym_general(
         (h12, 2.0 * m3 / m2**2 * c, h23),
         (h13, h23, 0.0),
     )
-    variance, bias = _delta_method(grad, hess, moments, mask_law, T, rtol, lag_cap)
-    return IndexAsymptotics(kind, m3 * c, variance, bias, T)
+    variance, bias = _delta_method(grad, hess, moments, mask_law, T)
+    return IndexAsymptotics(m3 * c, variance, bias)
 
 
 def skew_asym_poisson_markov(
@@ -434,7 +363,7 @@ def skew_asym_poisson_markov(
     k1, k2, k3 = (kappa(s, tau, r, rho) for s in (1, 2, 3))
     variance = (8.0 * mu * k2 + 6.0 * k3) / (T * mu**3)
     bias = -2.0 / (T * mu**2) * (mu * k1 + 2.0 * k2)
-    return IndexAsymptotics(KIND_POI_SKEWNESS, 1.0, variance, bias, T)
+    return IndexAsymptotics(1.0, variance, bias)
 
 
 def skew_asym_binomial_markov(
@@ -467,16 +396,10 @@ def skew_asym_binomial_markov(
         / (T * mu**2)
         * ((n - 1) / (n - mu) * mu * k1 + 2.0 * k2)
     )
-    return IndexAsymptotics(KIND_BIN_SKEWNESS, 1.0 - 2.0 / n, variance, bias, T)
+    return IndexAsymptotics(1.0 - 2.0 / n, variance, bias)
 
 
-def raw_poi_dispersion_asym(
-    raw_moments,
-    mask_law,
-    T: int,
-    rtol: float = _DEFAULT_RTOL,
-    lag_cap: int = _DEFAULT_LAG_CAP,
-) -> IndexAsymptotics:
+def raw_poi_dispersion_asym(raw_moments, mask_law, T: int) -> IndexAsymptotics:
     """Dispersion asymptotics computed entirely from raw moments.
 
     Independent oracle for the factorial-moment route: the oracle must expose
@@ -506,7 +429,7 @@ def raw_poi_dispersion_asym(
             * (raw_moments.mixed(2, 1, h) + raw_moments.mixed(1, 2, h) - 2.0 * mu * m2)
         )
 
-    variance = (lag0_var + 2.0 / tau * _sum_lagged(var_term, rtol, lag_cap)) / (T * tau)
+    variance = (lag0_var + 2.0 / tau * _sum_lagged(var_term)) / (T * tau)
 
     lag0_bias = m2**2 - m3 * mu
 
@@ -517,6 +440,6 @@ def raw_poi_dispersion_asym(
         )
 
     bias = (
-        lag0_bias + 2.0 / tau * _sum_lagged(bias_term, rtol, lag_cap)
+        lag0_bias + 2.0 / tau * _sum_lagged(bias_term)
     ) / (T * tau * mu**3)
-    return IndexAsymptotics(KIND_POI_DISPERSION, 1.0, variance, bias, T)
+    return IndexAsymptotics(1.0, variance, bias)

@@ -159,7 +159,18 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    r_values = [float(tok) for tok in args.r.split(",") if tok.strip() != ""]
+    if args.points < 1:
+        raise ParameterError(f"--points must be >= 1, got {args.points}")
+    r_values = []
+    for tok in args.r.split(","):
+        if tok.strip() == "":
+            continue
+        try:
+            r_values.append(float(tok))
+        except ValueError:
+            raise ParameterError(f"--r value {tok.strip()!r} is not a number") from None
+    if not r_values:
+        raise ParameterError(f"--r must list at least one value, got {args.r!r}")
     taus = np.linspace(args.tau_min, args.tau_max, args.points)
     rows = emit_curves(
         args.index, rho=args.rho, r_values=r_values, taus=taus, mu=args.mu, n=args.n

@@ -16,10 +16,6 @@ from .series import CountSeries
 from .moments import sample_factorial_moments
 from .missingness import _two_sided_z, dr_acf, estimate_r, estimate_tau
 from .asymptotics import (
-    KIND_BIN_DISPERSION,
-    KIND_BIN_SKEWNESS,
-    KIND_POI_DISPERSION,
-    KIND_POI_SKEWNESS,
     bin_dispersion_asym_markov,
     poi_dispersion_asym_markov,
     skew_asym_binomial_markov,
@@ -31,6 +27,12 @@ FAMILY_BINOMIAL = "binomial"
 
 INDEX_DISPERSION = "dispersion"
 INDEX_SKEWNESS = "skewness"
+
+#: The keys of :data:`INDEX_KINDS`, "<family>-<index>".
+KIND_POI_DISPERSION = "poisson-dispersion"
+KIND_BIN_DISPERSION = "binomial-dispersion"
+KIND_POI_SKEWNESS = "poisson-skewness"
+KIND_BIN_SKEWNESS = "binomial-skewness"
 
 _RHO_MAX = 1.0 - 1e-9
 
@@ -137,7 +139,7 @@ def index_skew(series: CountSeries) -> float:
 def _index_value(series: CountSeries, kind: str, n: Optional[int] = None) -> float:
     """One series' index by the table's formula; raises where a batch gets NaN."""
     spec = INDEX_KINDS[kind]
-    muhat = sample_factorial_moments(series, spec.order).muhat
+    muhat = sample_factorial_moments(series, spec.order)
     with np.errstate(divide="ignore", invalid="ignore"):
         value, conditions = spec.formula(muhat, n)
     for ok, message in conditions:
@@ -249,8 +251,7 @@ def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParam
     """
     if series.T < 2:
         raise DegenerateSeriesError(f"series too short to fit: T={series.T}, need T >= 2")
-    ms = sample_factorial_moments(series, 1)
-    mu = float(ms.muhat[0])
+    mu = float(sample_factorial_moments(series, 1)[0])
     tau = estimate_tau(series.mask)
     acf = dr_acf(series, 1)
     if acf.tau_lag[1] == 0.0:

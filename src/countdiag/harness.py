@@ -23,7 +23,7 @@ from .errors import (
 )
 from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
-from .moments import Tally, factorial_moments
+from .moments import Tally
 from .asymptotics import IndexAsymptotics
 from .diagnostics import INDEX_KINDS, family_kinds, marginal_params
 
@@ -100,18 +100,14 @@ def _chunk_seed_sequence(master_seed: int, key: str, chunk_index: int):
     )
 
 
-def _index_estimates(tally, mask, kinds, n=None) -> dict:
+def _index_estimates(tally: Tally, mask, kinds, n=None) -> dict:
     """Index estimates per replication row; NaN marks a degenerate one.
 
     ``tally`` is a :class:`Tally` of the paths, read once under ``mask``;
     with prefix ends each estimate gains a last axis, one entry per prefix
-    ``[:, :end]``.  Raw counts are read through ``factorial_moments``.
+    ``[:, :end]``.
     """
-    order = max(INDEX_KINDS[k].order for k in kinds)
-    if isinstance(tally, Tally):
-        muhat = tally.moments(mask, order)
-    else:
-        muhat = factorial_moments(tally, mask, order)
+    muhat = tally.moments(mask, max(INDEX_KINDS[k].order for k in kinds))
     return {kind: INDEX_KINDS[kind].estimate(muhat, n) for kind in kinds}
 
 
@@ -528,7 +524,7 @@ def _parse_count_field(field: str, row_number: int) -> int:
     return value
 
 
-def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
+def load_series_csv(path) -> CountSeries:
     """Read a count series from a one-observation-per-row CSV file.
 
     The last column holds the counts (an optional leading index column is
@@ -537,7 +533,6 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
     field is neither a number, NA nor empty; quoted fields are unquoted first.
     The file must be UTF-8 text.
     """
-    na_set = {token.strip() for token in na_values}
     try:
         with open_text(path, "r") as f:
             fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
@@ -546,14 +541,14 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
     if not fields:
         raise CsvFormatError(f"{path}: empty file")
     start = 0
-    if fields[0] != "" and fields[0] not in na_set:
+    if fields[0] not in ("", "NA"):
         try:
             float(fields[0])
         except ValueError:
             start = 1  # header row
     values, mask = [], []
     for i, field in enumerate(fields[start:], start=start + 1):
-        if field == "" or field in na_set:
+        if field in ("", "NA"):
             values.append(0)
             mask.append(0)
         else:
@@ -564,9 +559,9 @@ def load_series_csv(path, na_values: Sequence[str] = ("NA",)) -> CountSeries:
     return CountSeries(np.asarray(values), np.asarray(mask))
 
 
-def write_series_csv(series: CountSeries, path, na_token: str = "NA") -> None:
+def write_series_csv(series: CountSeries, path) -> None:
     """Write a count series one observation per row, NA for masked positions."""
     with open_text(path, "w") as f:
         f.write("x\n")
         for value, observed in zip(series.values, series.mask):
-            f.write(f"{int(value)}\n" if observed else f"{na_token}\n")
+            f.write(f"{int(value)}\n" if observed else "NA\n")

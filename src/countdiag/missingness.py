@@ -103,7 +103,7 @@ def dr_autocovariance(series: CountSeries, max_lag: int) -> np.ndarray:
     T = series.T
     if not 0 <= max_lag < T:
         raise ParameterError(f"max lag must lie in [0, {T - 1}], got {max_lag}")
-    muhat = sample_factorial_moments(series, 1).muhat[0]
+    muhat = sample_factorial_moments(series, 1)[0]
     o = series.mask.astype(np.float64)
     x = np.where(series.mask == 1, series.values, 0).astype(np.float64)
     return _lag_sums((x - muhat) * o, max_lag)

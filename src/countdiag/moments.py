@@ -3,7 +3,6 @@ closed-form model moments (univariate, joint, raw) for the two count families.""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -12,50 +11,22 @@ import numpy as np
 from .errors import DegenerateSeriesError, ParameterError
 from .series import CountSeries
 
-def falling_factorial(x, k: int):
+def falling_factorial(x: int, k: int) -> int:
     """x_(k) = x*(x-1)*...*(x-k+1), with x_(0) = 1 and zero whenever k > x >= 0.
 
-    Integer input is computed in exact (arbitrary precision) integer
-    arithmetic; array input is evaluated in float64 elementwise.
+    Computed in exact (arbitrary precision) integer arithmetic; the moment
+    kernel evaluates arrays in float64 through :func:`_falling`.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ParameterError(f"order k must be a non-negative integer, got {k}")
-    if isinstance(x, (int, np.integer)):
-        if x < 0:
-            raise ParameterError(f"count must be non-negative, got {x}")
-        out = 1
-        for i in range(k):
-            out *= int(x) - i
-            if out == 0:
-                break
-        return out
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(arr)
+    if not (isinstance(x, (int, np.integer)) and x >= 0):
+        raise ParameterError(f"count must be a non-negative integer, got {x}")
+    out = 1
     for i in range(k):
-        out *= arr - i
+        out *= int(x) - i
+        if out == 0:
+            break
     return out
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Sample factorial moments of the observed part of a series.
-
-    Attributes
-    ----------
-    m : int
-        Highest order computed.
-    muhat : np.ndarray
-        ``muhat[k-1]`` is the k-th sample factorial moment for k = 1..m.
-    n_observed : int
-        Number of mask-1 positions that entered the averages.
-    tauhat : float
-        Observed fraction of the series.
-    """
-
-    m: int
-    muhat: np.ndarray
-    n_observed: int
-    tauhat: float
 
 
 class Tally:
@@ -176,17 +147,16 @@ def factorial_moments(values, mask, m: int, ends=None) -> np.ndarray:
     return Tally(counts, ends).moments(mask, m)
 
 
-def sample_factorial_moments(series: CountSeries, m: int) -> MomentSummary:
-    """Estimate factorial moments from the observed positions only.
+def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:
+    """Factorial moments of orders 1..m from the observed positions only.
 
-    The one-series view of :func:`factorial_moments`: unobserved positions
-    contribute nothing to either numerator or denominator.
+    The one-series view of :func:`factorial_moments`: ``muhat[k-1]`` is the
+    k-th moment, and unobserved positions contribute nothing to either
+    numerator or denominator.
     """
-    n_obs = series.n_observed
-    if n_obs == 0:
+    if series.n_observed == 0:
         raise DegenerateSeriesError("series has no observed positions")
-    muhat = factorial_moments(series.values, series.mask, m)
-    return MomentSummary(m=m, muhat=muhat, n_observed=n_obs, tauhat=n_obs / series.T)
+    return factorial_moments(series.values, series.mask, m)
 
 
 def poisson_factorial_moment(mu: float, k: int) -> float:
@@ -259,6 +229,10 @@ def bbin_mixed_factorial(n: int, pi: float, rho: float, h: int, k: int, s: int) 
     if k > n or s > n:
         return 0.0
     a = 1.0 + (1.0 - pi) / pi * rho**h
+    if a == 1.0:
+        # rho**h vanishes beside 1: the pair is independent and factorizes
+        # exactly, where the weighted sum below would leave a rounding residue
+        return binomial_factorial_moment(n, pi, k) * binomial_factorial_moment(n, pi, s)
     cns = comb(n, s)
     total = 0.0
     for i in range(min(k, s) + 1):

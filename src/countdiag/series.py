@@ -177,10 +177,6 @@ class MissingSpec:
         """E[O_t O_{t+h}] = tau**2 + tau*(1-tau)*r**h (equals tau at h = 0)."""
         return self.tau**2 + self.tau * (1.0 - self.tau) * self.r ** abs(h)
 
-    def mask_autocovariance(self, h: int) -> float:
-        """Cov[O_t, O_{t+h}] = tau*(1-tau)*r**h."""
-        return self.tau * (1.0 - self.tau) * self.r ** abs(h)
-
 
 @dataclass(frozen=True)
 class Seed:

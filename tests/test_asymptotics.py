@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from countdiag import asymptotics
 from countdiag import (
     BinomialArMoments,
     ConvergenceError,
@@ -19,7 +20,6 @@ from countdiag import (
     raw_poi_dispersion_asym,
     sigma_binomial_markov,
     sigma_poisson_markov,
-    sigma_star,
     skew_asym_binomial_markov,
     skew_asym_general,
     skew_asym_poisson_markov,
@@ -70,40 +70,6 @@ class TestKappa:
             kappa(1, 0.8, 0.0, 1.0)
 
 
-class TestSigmaStar:
-    def test_mask_entry_iid(self):
-        law = MissingSpec(0.8, 0.0)
-        mom = PoissonArMoments(3.0, 0.5)
-        assert sigma_star(0, 0, mom, law) == pytest.approx(0.8 * 0.2, rel=1e-12)
-
-    def test_mask_entry_markov_geometric_sum(self):
-        law = MissingSpec(0.8, 0.6)
-        mom = PoissonArMoments(3.0, 0.5)
-        # tau(1-tau)(1+r)/(1-r)
-        assert sigma_star(0, 0, mom, law) == pytest.approx(0.64, rel=1e-10)
-
-    @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_mixed_entry_factorizes(self, j):
-        law = MissingSpec(0.8, 0.6)
-        mom = PoissonArMoments(3.0, 0.5)
-        s00 = sigma_star(0, 0, mom, law)
-        assert sigma_star(0, j, mom, law) == pytest.approx(
-            s00 * mom.univariate(j), rel=1e-10
-        )
-        assert sigma_star(j, 0, mom, law) == pytest.approx(
-            sigma_star(0, j, mom, law), rel=1e-14
-        )
-
-
-    @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (2, 3), (3, 3)])
-    def test_count_entry_without_mask_is_sigma(self, ij):
-        # at tau = 1 the mask entry vanishes and sigma*_ij = sigma_ij
-        i, j = ij
-        got = sigma_star(i, j, PoissonArMoments(3.0, 0.5), MissingSpec(1.0, 0.0))
-        want = sigma_poisson_markov(i, j, 3.0, 0.5, 1.0, 0.0)
-        assert got == pytest.approx(want, rel=1e-10)
-
-
 class TestCltSigmaGeneral:
     def test_poisson_order11_closed_form(self):
         got = clt_sigma_general(1, 1, PoissonArMoments(3.0, 0.5), MissingSpec(0.8, 0.0))
@@ -131,7 +97,18 @@ class TestCltSigmaGeneral:
         want = sigma_binomial_markov(i, j, 10, 0.3, 0.5, tau, r)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_non_decaying_oracle_raises(self):
+    @pytest.mark.parametrize("ij", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)])
+    def test_independent_binomial_counts_converge(self, ij):
+        # at rho = 0 every lag term is zero; a rounding residue in the joint
+        # moments used to keep the (1, 3) series from converging
+        i, j = ij
+        got = clt_sigma_general(i, j, BinomialArMoments(10, 0.3, 0.0), MissingSpec(0.8, 0.3))
+        want = sigma_binomial_markov(i, j, 10, 0.3, 0.0, 0.8, 0.3)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_non_decaying_oracle_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_LAG_CAP", 1000)
+
         class Flat:
             def univariate(self, k):
                 return 3.0**k
@@ -140,7 +117,7 @@ class TestCltSigmaGeneral:
                 return 3.0 ** (k + s) + 1.0  # never factorizes
 
         with pytest.raises(ConvergenceError):
-            clt_sigma_general(1, 1, Flat(), MissingSpec(0.8, 0.0), lag_cap=1000)
+            clt_sigma_general(1, 1, Flat(), MissingSpec(0.8, 0.0))
 
     def test_diagonal_calls_the_oracle_once_per_lag(self):
         class Counting:
@@ -340,6 +317,45 @@ class TestStrongDependence:
         assert g.bias == pytest.approx(m.bias, rel=1e-10)
 
 
+#: Every series route, each at the family's parameters, as (rho, law, T) -> asymptotics.
+SERIES_ROUTES = {
+    **{kind: routes[0] for kind, routes in GENERAL_VS_MARKOV.items()},
+    "raw-poisson-dispersion": lambda rho, law, T: raw_poi_dispersion_asym(
+        RawMoments(PoissonArMoments(3.0, rho)), law, T
+    ),
+}
+
+
+class TestTauOneIgnoresR:
+    """At tau = 1 every position is observed, so the mask's lag-1
+    autocorrelation r cannot move any variance or bias."""
+
+    @pytest.mark.parametrize("kind", sorted(GENERAL_VS_MARKOV))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.floats(0.0, 1.0, exclude_max=True),
+        rho=st.floats(0.0, 0.99),
+        T=st.integers(1, 10**6),
+    )
+    def test_closed_forms(self, kind, r, rho, T):
+        markov = GENERAL_VS_MARKOV[kind][1]
+        got, want = markov(rho, 1.0, r, T), markov(rho, 1.0, 0.0, T)
+        assert got.variance == pytest.approx(want.variance, rel=1e-12)
+        assert got.bias == pytest.approx(want.bias, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(SERIES_ROUTES))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        r=st.floats(0.0, 1.0, exclude_max=True),
+        rho=st.floats(0.0, 0.95),
+        T=st.integers(1, 10**6),
+    )
+    def test_series_routes(self, kind, r, rho, T):
+        route = SERIES_ROUTES[kind]
+        got, want = route(rho, MissingSpec(1.0, r), T), route(rho, MissingSpec(1.0, 0.0), T)
+        assert (got.variance, got.bias) == (want.variance, want.bias)
+
+
 class TestRawMomentRoute:
     @pytest.mark.parametrize(
         "tau,r", [(1.0, 0.0), (0.8, 0.0), (0.8, 0.6), (0.4, 0.6), (0.4, 0.3)]
@@ -418,7 +434,6 @@ class TestSequenceMaskLaw:
         law = SequenceMaskLaw(0.8, [0.7])
         assert law.lagged_product(1) == 0.7
         assert law.lagged_product(2) == pytest.approx(0.64)
-        assert law.mask_autocovariance(2) == pytest.approx(0.0)
 
     def test_domain(self):
         with pytest.raises(ParameterError):

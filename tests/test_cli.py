@@ -276,6 +276,23 @@ class TestCurvesCommand:
         assert float(row[5]) == pytest.approx(10.0 / 3.0)
         assert float(row[6]) == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--points", "-1"], "--points must be >= 1, got -1"),
+            (["--points", "0"], "--points must be >= 1, got 0"),
+            (["--r", "abc"], "--r value 'abc' is not a number"),
+            (["--r", "0.3, x"], "--r value 'x' is not a number"),
+            (["--r", ","], "--r must list at least one value, got ','"),
+        ],
+    )
+    def test_bad_input_is_typed_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "curves.csv"
+        rc = main(["curves", "--index", "poisson-dispersion", *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestRuntimeDependencies:
     def test_simulate_and_diagnose_load_no_scipy(self, tmp_path):

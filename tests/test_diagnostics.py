@@ -28,7 +28,7 @@ from countdiag import (
 from countdiag import test_from_params as run_test_from_params
 from countdiag import test_index as run_test_index
 from countdiag import test_indices as run_test_indices
-from countdiag.asymptotics import (
+from countdiag.diagnostics import (
     KIND_BIN_DISPERSION,
     KIND_BIN_SKEWNESS,
     KIND_POI_DISPERSION,
@@ -37,7 +37,7 @@ from countdiag.asymptotics import (
 from countdiag.cli import build_parser
 from countdiag.harness import _index_estimates
 from countdiag.missingness import dr_acf
-from countdiag.moments import factorial_moments
+from countdiag.moments import Tally, factorial_moments
 
 
 class TestIndexEstimators:
@@ -116,7 +116,7 @@ class TestBatchedEstimator:
         values, mask = (np.array(a, dtype=np.int64) for a in rows)
         n = 10 if family == "binomial" else None
         kinds = [k for k, spec in INDEX_KINDS.items() if spec.family == family]
-        batched = _index_estimates(values, mask, kinds, n=n)
+        batched = _index_estimates(Tally(values.copy()), mask, kinds, n=n)
         for kind in kinds:
             for i in range(values.shape[0]):
                 series = CountSeries(values[i], mask[i])
@@ -171,6 +171,43 @@ class TestMaskedValuesNeverRead:
                 return json.dumps(run_test_index(series, null, kind).to_dict())
 
             assert _outcome(lambda: report(a)) == _outcome(lambda: report(b))
+
+
+class TestObservedValuesOnly:
+    """The estimates read the multiset of observed values and nothing else:
+    not their order, and not which positions hold them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_permuted_or_moved_values_give_equal_bits(self, data):
+        T = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, T))
+        observed = data.draw(st.lists(st.integers(0, 10), min_size=k, max_size=k))
+        positions = st.permutations(range(T)).map(lambda p: sorted(p[:k]))
+        garbage = st.lists(st.integers(0, 10**6), min_size=T, max_size=T)
+
+        def place(values, at):
+            series = np.array(data.draw(garbage), dtype=np.int64)
+            mask = np.zeros(T, dtype=np.int8)
+            series[at], mask[at] = values, 1
+            return CountSeries(series, mask)
+
+        a = place(observed, data.draw(positions))
+        b = place(data.draw(st.permutations(observed)), data.draw(positions))
+        assert (
+            factorial_moments(a.values, a.mask, 3).tobytes()
+            == factorial_moments(b.values, b.mask, 3).tobytes()
+        )
+
+        for statistic in (
+            index_poi_dispersion,
+            lambda series: index_bin_dispersion(series, 10),
+            index_skew,
+        ):
+            def bits(series):
+                return np.float64(statistic(series)).tobytes()
+
+            assert _outcome(lambda: bits(a)) == _outcome(lambda: bits(b))
 
 
 class TestIndexKindTable:

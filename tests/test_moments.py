@@ -73,11 +73,6 @@ class TestFallingFactorial:
 
         assert falling_factorial(64, 20) == math.factorial(64) // math.factorial(44)
 
-    def test_array_matches_scalar(self):
-        x = np.arange(0, 12)
-        arr = falling_factorial(x, 3)
-        assert np.array_equal(arr, [falling_factorial(int(v), 3) for v in x])
-
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=6))
     def test_recurrence(self, x, k):
         assert falling_factorial(x, k + 1) == falling_factorial(x, k) * (x - k)
@@ -91,23 +86,21 @@ class TestFallingFactorial:
 
 class TestSampleFactorialMoments:
     def test_hand_values_fully_observed(self):
-        ms = sample_factorial_moments(CountSeries([2, 3, 1]), 2)
-        assert ms.muhat[0] == pytest.approx(2.0)
-        assert ms.muhat[1] == pytest.approx(8.0 / 3.0)
-        assert ms.n_observed == 3 and ms.tauhat == 1.0
+        muhat = sample_factorial_moments(CountSeries([2, 3, 1]), 2)
+        assert muhat[0] == pytest.approx(2.0)
+        assert muhat[1] == pytest.approx(8.0 / 3.0)
 
     def test_hand_values_masked(self):
-        ms = sample_factorial_moments(CountSeries([2, 3, 1], [1, 0, 1]), 1)
-        assert ms.muhat[0] == pytest.approx(1.5)
-        assert ms.n_observed == 2
+        muhat = sample_factorial_moments(CountSeries([2, 3, 1], [1, 0, 1]), 1)
+        assert muhat[0] == pytest.approx(1.5)
 
     def test_all_masked_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             sample_factorial_moments(CountSeries([2, 3, 1], [0, 0, 0]), 1)
 
     def test_zero_above_max_observed(self):
-        ms = sample_factorial_moments(CountSeries([1, 0, 1]), 3)
-        assert ms.muhat[1] == 0.0 and ms.muhat[2] == 0.0
+        muhat = sample_factorial_moments(CountSeries([1, 0, 1]), 3)
+        assert muhat[1] == 0.0 and muhat[2] == 0.0
 
     def test_sentinel_never_read(self):
         rng = np.random.default_rng(3)
@@ -116,8 +109,8 @@ class TestSampleFactorialMoments:
         mask[0] = 1
         garbled = values.copy()
         garbled[mask == 0] = rng.integers(100, 10_000, int((mask == 0).sum()))
-        a = sample_factorial_moments(CountSeries(values, mask), 3).muhat
-        b = sample_factorial_moments(CountSeries(garbled, mask), 3).muhat
+        a = sample_factorial_moments(CountSeries(values, mask), 3)
+        b = sample_factorial_moments(CountSeries(garbled, mask), 3)
         assert np.array_equal(a, b)
 
     @settings(max_examples=150, deadline=None)
@@ -161,14 +154,14 @@ class TestSampleFactorialMoments:
         rng = Seed(600).generator()
         x = _poisson_paths(3.0, 0.5, T, 1, rng)[0]
         mask = _markov_mask_from_uniforms(rng.random(T), 0.8, 0.6)
-        ms = sample_factorial_moments(CountSeries(x, mask), 1)
+        muhat = sample_factorial_moments(CountSeries(x, mask), 1)
         # batch-means SE of the ratio estimator
         n_batches = 250
         xb = x[: (T // n_batches) * n_batches].reshape(n_batches, -1)
         ob = mask[: (T // n_batches) * n_batches].reshape(n_batches, -1)
         ratios = (ob * xb).sum(axis=1) / ob.sum(axis=1)
         se = ratios.std(ddof=1) / np.sqrt(n_batches)
-        assert abs(ms.muhat[0] - 3.0) < 3 * se
+        assert abs(muhat[0] - 3.0) < 3 * se
 
 
 class TestTallyKernel:
