@@ -14,6 +14,7 @@ from .series import Bar1, MissingSpec, PoiInar1, Seed
 from .simulate import apply_mask, simulate_bar1, simulate_markov_mask, simulate_poi_inar1
 from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_indices
 from .harness import (
+    DEFAULT_CHUNK,
     emit_curves,
     format_grid_table,
     grid_config_from_dict,
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--config", required=True, help="grid config JSON")
     mc.add_argument("--out", required=True, help="output CSV path")
     mc.add_argument("--workers", type=int, default=1)
-    mc.add_argument("--chunk-size", type=int, default=None)
+    mc.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     mc.add_argument("--quiet", action="store_true", help="suppress the table printout")
 
     cur = sub.add_parser("curves", help="emit T-fold variance/bias curve tables")
@@ -83,16 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     seed = Seed(args.seed)
+    missing = MissingSpec(args.tau, args.r)
     if args.model == "poisson":
+        for flag in ("n", "pi"):
+            if getattr(args, flag) is not None:
+                raise ParameterError(f"--{flag} is only valid for the binomial model")
         series = simulate_poi_inar1(PoiInar1(args.mu, args.rho), args.length, seed)
     else:
         if args.n is None or args.pi is None:
             raise CountDiagError("binomial model requires --n and --pi")
         series = simulate_bar1(Bar1(args.n, args.pi, args.rho), args.length, seed)
-    if args.tau < 1.0 or args.r > 0.0:
-        mask = simulate_markov_mask(
-            MissingSpec(args.tau, args.r), args.length, Seed(args.seed, 1)
-        )
+    if missing.tau < 1.0:
+        mask = simulate_markov_mask(missing, args.length, Seed(args.seed, 1))
         series = apply_mask(series, mask)
     write_series_csv(series, args.out)
     print(f"wrote {series.T} observations ({series.n_observed} observed) to {args.out}")
@@ -147,10 +150,7 @@ def _cmd_mc(args) -> int:
         except ValueError as err:
             raise ParameterError(f"{args.config}: not valid JSON ({err})") from None
     config = grid_config_from_dict(doc)
-    kwargs = {"workers": args.workers}
-    if args.chunk_size is not None:
-        kwargs["chunk_size"] = args.chunk_size
-    results = run_grid(config, **kwargs)
+    results = run_grid(config, workers=args.workers, chunk_size=args.chunk_size)
     write_grid_csv(results, args.out)
     if not args.quiet:
         print(format_grid_table(results))

@@ -25,9 +25,6 @@ from .asymptotics import (
 FAMILY_POISSON = "poisson"
 FAMILY_BINOMIAL = "binomial"
 
-INDEX_DISPERSION = "dispersion"
-INDEX_SKEWNESS = "skewness"
-
 #: The keys of :data:`INDEX_KINDS`, "<family>-<index>".
 KIND_POI_DISPERSION = "poisson-dispersion"
 KIND_BIN_DISPERSION = "binomial-dispersion"
@@ -35,6 +32,8 @@ KIND_POI_SKEWNESS = "poisson-skewness"
 KIND_BIN_SKEWNESS = "binomial-skewness"
 
 _RHO_MAX = 1.0 - 1e-9
+
+_N_POISSON = "'n' is only valid for the binomial family"
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,8 @@ class NullSpec:
         if self.family == FAMILY_BINOMIAL:
             if self.n is None or int(self.n) < 2:
                 raise ParameterError("binomial null requires an upper bound n >= 2")
+        elif self.n is not None:
+            raise ParameterError(_N_POISSON)
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -110,9 +111,7 @@ class TestReport:
     n_observed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["fitted"] = asdict(self.fitted)
-        return out
+        return asdict(self)
 
 
 def index_poi_dispersion(series: CountSeries) -> float:
@@ -179,7 +178,6 @@ class IndexKind:
     """
 
     family: str
-    index: str
     prefix: str  # column prefix in grid CSVs
     order: int  # highest factorial moment the formula reads
     formula: Callable
@@ -202,22 +200,22 @@ class _KindTable(dict):
 #: ParameterError.
 INDEX_KINDS = _KindTable({
     KIND_POI_DISPERSION: IndexKind(
-        FAMILY_POISSON, INDEX_DISPERSION, "disp", 2, _poisson_dispersion,
+        FAMILY_POISSON, "disp", 2, _poisson_dispersion,
         statistic=lambda series, n: index_poi_dispersion(series),
         markov=lambda p, *dep: poi_dispersion_asym_markov(*p, *dep),
     ),
     KIND_BIN_DISPERSION: IndexKind(
-        FAMILY_BINOMIAL, INDEX_DISPERSION, "disp", 2, _binomial_dispersion,
+        FAMILY_BINOMIAL, "disp", 2, _binomial_dispersion,
         statistic=lambda series, n: index_bin_dispersion(series, int(n)),
         markov=lambda p, *dep: bin_dispersion_asym_markov(*p, *dep),
     ),
     KIND_POI_SKEWNESS: IndexKind(
-        FAMILY_POISSON, INDEX_SKEWNESS, "skew", 3, _skewness,
+        FAMILY_POISSON, "skew", 3, _skewness,
         statistic=lambda series, n: index_skew(series),
         markov=lambda p, *dep: skew_asym_poisson_markov(*p, *dep),
     ),
     KIND_BIN_SKEWNESS: IndexKind(
-        FAMILY_BINOMIAL, INDEX_SKEWNESS, "skew", 3, _skewness,
+        FAMILY_BINOMIAL, "skew", 3, _skewness,
         statistic=lambda series, n: index_skew(series),
         markov=lambda p, *dep: skew_asym_binomial_markov(*p, *dep),
     ),
@@ -232,6 +230,8 @@ def family_kinds(family: str) -> tuple:
 def marginal_params(family: str, mu: float, n: Optional[int] = None) -> tuple:
     """The closed forms' marginal parameters from mean and bound: (mu,) or (n, mu / n)."""
     if family == FAMILY_POISSON:
+        if n is not None:
+            raise ParameterError(_N_POISSON)
         return (mu,)
     if n is None or int(n) < 2:
         raise ParameterError("binomial family requires an upper bound n >= 2")
@@ -309,9 +309,8 @@ def test_from_params(
     marginal = marginal_params(family, mu, n)
     asym = INDEX_KINDS[f"{family}-{kind}"].markov(marginal, rho, tau, r, T)
     z = _two_sided_z(alpha)
-    center = asym.null_value + asym.bias
-    lower = center - z * asym.sd
-    upper = center + z * asym.sd
+    lower = asym.mean - z * asym.sd
+    upper = asym.mean + z * asym.sd
     if math.isnan(statistic):
         reject = False
     elif sided == "two":

@@ -9,7 +9,7 @@ import hashlib
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,7 +77,6 @@ def _law_key(missing: MissingSpec) -> str:
 class IndexStats:
     """Simulated versus asymptotic summary for one index in one scenario."""
 
-    kind: str
     sim_mean: float
     sim_sd: float
     asym_mean: float
@@ -93,7 +92,7 @@ class ScenarioResult:
     error: Optional[str] = None
 
 
-def _chunk_seed_sequence(master_seed: int, key: str, chunk_index: int):
+def _chunk_seed(master_seed: int, key: str, chunk_index: int):
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
     return np.random.SeedSequence(
         [int(master_seed), int.from_bytes(digest, "big"), int(chunk_index)]
@@ -125,7 +124,7 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
     T = max(c.T for c in cells)
 
     def rng(key):
-        seed = _chunk_seed_sequence(cells[0].master_seed, key, chunk_index)
+        seed = _chunk_seed(cells[0].master_seed, key, chunk_index)
         return np.random.default_rng(seed)
 
     lengths, laws = {}, {}
@@ -192,7 +191,6 @@ def _aggregate(scenario: Scenario, chunk_results: Sequence[dict]) -> ScenarioRes
         sim_sd = float(finite.std(ddof=1)) if n_used >= 2 else math.nan
         asym = scenario_asymptotics(scenario, kind)
         stats[kind] = IndexStats(
-            kind=kind,
             sim_mean=sim_mean,
             sim_sd=sim_sd,
             asym_mean=asym.mean,
@@ -261,15 +259,18 @@ def _require_real(key: str, value) -> None:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Axes of a scenario grid; defaults mirror the standard study design."""
+    """Axes of a scenario grid; defaults mirror the standard study design.
+
+    The field names are the keys of an ``mc`` config document.
+    """
 
     family: str
     mu: float = 3.0
     rho: float = 0.5
-    ns: tuple = (10, 25)
-    taus: tuple = (1.0, 0.8, 0.6, 0.4)
-    rs: tuple = (0.0, 0.3, 0.6)
-    lengths: tuple = (100, 250, 500, 1000)
+    n: tuple = (10, 25)
+    tau: tuple = (1.0, 0.8, 0.6, 0.4)
+    r: tuple = (0.0, 0.3, 0.6)
+    T: tuple = (100, 250, 500, 1000)
     replications: int = 10_000
     master_seed: int = 1
 
@@ -280,9 +281,9 @@ class GridConfig:
         _require_real("rho", self.rho)
         _require_int("replications", self.replications, 1)
         _require_int("master_seed", self.master_seed, 0)
-        axes = [("tau", self.taus, None), ("r", self.rs, None), ("T", self.lengths, 1)]
+        axes = [("tau", self.tau, None), ("r", self.r, None), ("T", self.T, 1)]
         if self.family == "binomial":
-            axes.append(("n", self.ns, 2))
+            axes.append(("n", self.n, 2))
         for key, values, low in axes:
             if len(values) == 0:
                 raise ParameterError(f"{key} must list at least one value")
@@ -292,17 +293,17 @@ class GridConfig:
                 else:
                     _require_int(key, value, low)
         if self.family == "binomial":
-            for n in self.ns:
+            for n in self.n:
                 if not 0.0 < self.mu / n < 1.0:
                     raise ParameterError(f"mu={self.mu} incompatible with n={n}")
 
     def scenarios(self) -> list:
         """Grid cells in stable row order: tau desc, r asc, T asc, n asc."""
         cells = []
-        ns = self.ns if self.family == "binomial" else (None,)
-        for tau in self.taus:
-            for r in self.rs:
-                for T in self.lengths:
+        ns = self.n if self.family == "binomial" else (None,)
+        for tau in self.tau:
+            for r in self.r:
+                for T in self.T:
                     for n in ns:
                         cells.append((-tau, r, T, n if n is not None else 0, tau))
         cells.sort()
@@ -324,39 +325,24 @@ class GridConfig:
         return out
 
 
-_GRID_JSON_KEYS = {
-    "family": "family",
-    "mu": "mu",
-    "rho": "rho",
-    "n": "ns",
-    "tau": "taus",
-    "r": "rs",
-    "T": "lengths",
-    "replications": "replications",
-    "master_seed": "master_seed",
-}
-
-
 def grid_config_from_dict(doc: dict) -> GridConfig:
-    """Build a GridConfig from a JSON document; unknown keys are rejected."""
+    """Build a GridConfig from a JSON document, whose keys are the field names;
+    unknown keys are rejected, and an axis may be a scalar or a list."""
     if not isinstance(doc, dict):
         raise ParameterError(f"config must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(_GRID_JSON_KEYS))
+    unknown = sorted(set(doc) - {f.name for f in fields(GridConfig)})
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
     if "family" not in doc:
         raise ParameterError("config requires a 'family' key")
-    kwargs = {}
-    for json_key, attr in _GRID_JSON_KEYS.items():
-        if json_key not in doc:
-            continue
-        value = doc[json_key]
-        if attr in ("ns", "taus", "rs", "lengths"):
-            value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-        kwargs[attr] = value
-    if doc.get("family") == "poisson" and "n" in doc:
+    if doc["family"] == "poisson" and "n" in doc:
         raise ParameterError("'n' is only valid for the binomial family")
-    return GridConfig(**kwargs)
+    doc = dict(doc)
+    for axis in ("n", "tau", "r", "T"):
+        if axis in doc:
+            value = doc[axis]
+            doc[axis] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    return GridConfig(**doc)
 
 
 def run_grid(
@@ -494,11 +480,12 @@ def write_curves_csv(rows: Sequence[dict], path) -> None:
 def open_text(path, mode: str):
     """Open a UTF-8 text file for csv or json (mode "r" or "w").
 
-    An OSError, such as a missing file or directory, becomes a
-    FileAccessError naming the path.
+    Reading skips a leading byte-order mark.  An OSError, such as a missing
+    file or directory, becomes a FileAccessError naming the path.
     """
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     try:
-        return open(path, mode, newline="", encoding="utf-8")
+        return open(path, mode, newline="", encoding=encoding)
     except OSError as err:
         action = "read" if mode == "r" else "write"
         raise FileAccessError(f"cannot {action} {path}: {err.strerror or err}") from None
@@ -531,7 +518,8 @@ def load_series_csv(path) -> CountSeries:
     ignored), and a literal NA token or an empty field marks a missing
     observation.  The first row is a header, and skipped, only if its last
     field is neither a number, NA nor empty; quoted fields are unquoted first.
-    The file must be UTF-8 text.
+    The file must be UTF-8 text (a leading byte-order mark is skipped), and
+    every count at most 2**63 - 1.
     """
     try:
         with open_text(path, "r") as f:
@@ -556,7 +544,14 @@ def load_series_csv(path) -> CountSeries:
             mask.append(1)
     if not values:
         raise CsvFormatError(f"{path}: no data rows")
-    return CountSeries(np.asarray(values), np.asarray(mask))
+    try:
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, value in enumerate(values) if value > np.iinfo(np.int64).max)
+        raise CsvFormatError(
+            f"row {start + 1 + i}: count {values[i]} exceeds 2**63 - 1"
+        ) from None
+    return CountSeries(values, np.asarray(mask))
 
 
 def write_series_csv(series: CountSeries, path) -> None:

@@ -21,10 +21,8 @@ class AcfEstimate:
 
     Attributes
     ----------
-    lags : np.ndarray
-        Lags 0..L.
     rho_hat : np.ndarray
-        Per-lag autocorrelation; ``rho_hat[0] == 1``.  Values are stored
+        Autocorrelation at lags 0..L; ``rho_hat[0] == 1``.  Values are stored
         unclipped, so finite-sample estimates may leave [-1, 1].
     tau_lag : np.ndarray
         Realized observed-pair fractions (1/T) * sum_t O_t O_{t+l}.
@@ -32,7 +30,6 @@ class AcfEstimate:
         Length of the underlying series.
     """
 
-    lags: np.ndarray
     rho_hat: np.ndarray
     tau_lag: np.ndarray
     T: int
@@ -123,7 +120,7 @@ def dr_acf(series: CountSeries, max_lag: int) -> AcfEstimate:
     if acov[0] <= 0.0:
         raise DegenerateSeriesError("observed series has zero variance")
     tau_lag = _lag_sums(series.mask.astype(np.float64), max_lag)
-    return AcfEstimate(np.arange(max_lag + 1), acov / acov[0], tau_lag, T)
+    return AcfEstimate(acov / acov[0], tau_lag, T)
 
 
 def durbin_levinson_pacf(acf_values) -> np.ndarray:

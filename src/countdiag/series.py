@@ -19,7 +19,9 @@ def _as_1d_int64(x, name: str) -> np.ndarray:
         raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ParameterError(f"{name} must contain at least one element")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "biuf":  # an object array holds, say, ints above 64 bits
+        raise ParameterError(f"{name} must hold 64-bit integers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.floor(arr)):
             raise ParameterError(f"{name} must contain integers")
     return arr.astype(np.int64)
@@ -46,21 +48,18 @@ class CountSeries:
         if self.mask is None:
             self.mask = np.ones_like(self.values, dtype=np.int8)
         else:
-            self.mask = _as_1d_int64(self.mask, "mask").astype(np.int8)
+            mask = _as_1d_int64(self.mask, "mask")
+            if not np.all((mask == 0) | (mask == 1)):  # before int8 wraps 256 to 0
+                raise ParameterError("mask entries must be 0 or 1")
+            self.mask = mask.astype(np.int8)
         if self.mask.shape != self.values.shape:
             raise ParameterError(
                 f"values and mask must have equal length, got "
                 f"{self.values.size} and {self.mask.size}"
             )
-        if not np.all((self.mask == 0) | (self.mask == 1)):
-            raise ParameterError("mask entries must be 0 or 1")
         observed = self.values[self.mask == 1]
         if observed.size and observed.min() < 0:
             raise ParameterError("observed counts must be non-negative")
-
-    @classmethod
-    def fully_observed(cls, values) -> "CountSeries":
-        return cls(values)
 
     @property
     def T(self) -> int:
@@ -130,16 +129,6 @@ class Bar1:
             )
 
     @property
-    def beta(self) -> float:
-        """Thinning probability applied to the head room n - X."""
-        return self.pi * (1.0 - self.rho)
-
-    @property
-    def alpha(self) -> float:
-        """Thinning probability applied to the previous count."""
-        return self.beta + self.rho
-
-    @property
     def mean(self) -> float:
         return self.n * self.pi
 
@@ -195,8 +184,6 @@ class Seed:
         if not (isinstance(self.stream, (int, np.integer)) and self.stream >= 0):
             raise ParameterError("stream index must be a non-negative integer")
 
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence([int(self.master), int(self.stream)])
-
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed_sequence())
+        seed = np.random.SeedSequence([int(self.master), int(self.stream)])
+        return np.random.default_rng(seed)

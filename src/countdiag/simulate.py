@@ -52,9 +52,7 @@ def simulate_poi_inar1(spec: PoiInar1, T: int, seed: Seed) -> CountSeries:
     """
     if T < 1:
         raise ParameterError(f"series length must be >= 1, got {T}")
-    return CountSeries.fully_observed(
-        _poisson_paths(spec.mu, spec.rho, T, 1, seed.generator())[0]
-    )
+    return CountSeries(_poisson_paths(spec.mu, spec.rho, T, 1, seed.generator())[0])
 
 
 def simulate_bar1(spec: Bar1, T: int, seed: Seed) -> CountSeries:
@@ -66,9 +64,7 @@ def simulate_bar1(spec: Bar1, T: int, seed: Seed) -> CountSeries:
     """
     if T < 1:
         raise ParameterError(f"series length must be >= 1, got {T}")
-    return CountSeries.fully_observed(
-        _binomial_paths(spec.n, spec.pi, spec.rho, T, 1, seed.generator())[0]
-    )
+    return CountSeries(_binomial_paths(spec.n, spec.pi, spec.rho, T, 1, seed.generator())[0])
 
 
 def _markov_mask_from_uniforms(u: np.ndarray, tau: float, r: float) -> np.ndarray:

@@ -97,10 +97,10 @@ def mc_grids():
     specs = {
         "poisson": GridConfig("poisson", replications=R_MC, master_seed=MC_SEED),
         "binomial10": GridConfig(
-            "binomial", ns=(10,), replications=R_MC, master_seed=MC_SEED
+            "binomial", n=(10,), replications=R_MC, master_seed=MC_SEED
         ),
         "binomial25": GridConfig(
-            "binomial", ns=(25,), replications=R_MC, master_seed=MC_SEED
+            "binomial", n=(25,), replications=R_MC, master_seed=MC_SEED
         ),
     }
     for name, config in specs.items():

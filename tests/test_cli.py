@@ -49,6 +49,31 @@ class TestSimulateCommand:
             f"error: cannot write {out}: No such file or directory\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tau", "1.5"], "tau must lie in (0, 1], got 1.5"),
+            (["--r", "-0.5"], "r must lie in [0, 1), got -0.5"),
+            (["--n", "5", "--pi", "0.3"], "--n is only valid for the binomial model"),
+            (["--pi", "0.3"], "--pi is only valid for the binomial model"),
+        ],
+    )
+    def test_flag_out_of_range_or_not_applicable_is_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "series.csv"
+        rc = main(["simulate", "--model", "poisson", "-T", "10", *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [[], ["--model", "binomial", "--n", "8", "--pi", "0.4"]])
+    def test_fully_observed_law_draws_no_mask(self, tmp_path, model):
+        # tau = 1 gives an all-ones mask whatever r is, so the file is the unmasked one
+        args = ["simulate", "--model", "poisson", *model, "-T", "200", "--seed", "3"]
+        plain, with_r = tmp_path / "plain.csv", tmp_path / "r.csv"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--tau", "1", "--r", "0.5", "--out", str(with_r)]) == 0
+        assert plain.read_bytes() == with_r.read_bytes()
+
     def test_binomial_requires_params(self, tmp_path):
         rc = main([
             "simulate", "--model", "binomial", "-T", "10",
@@ -148,6 +173,35 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and str(series) in err
 
+    def test_n_for_poisson_null_is_error(self, series_file, tmp_path, capsys):
+        payload = tmp_path / "report.json"
+        rc = main([
+            "diagnose", "--input", str(series_file), "--null", "poisson", "--n", "10",
+            "--json", str(payload),
+        ])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: 'n' is only valid for the binomial family\n")
+        assert not payload.exists()
+
+    def test_count_above_int64_is_error(self, tmp_path, capsys):
+        series = tmp_path / "huge.csv"
+        series.write_text("x\n3\n100000000000000000000\n4\n")
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: row 3: count 100000000000000000000 exceeds 2**63 - 1\n"
+        )
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, capsys):
+        series = tmp_path / "bom.csv"
+        series.write_bytes(b"\xef\xbb\xbf3\n4\n5\n6\n")
+        with pytest.warns(UserWarning, match="nearly vacuous"):
+            rc = main(["diagnose", "--input", str(series), "--null", "poisson", "--json", "-"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        reports = json.loads(out[out.index("\n[") :])
+        assert [r["fitted"]["T"] for r in reports] == [4, 4]
+
     def test_counts_above_n_is_error(self, tmp_path, capsys):
         series = tmp_path / "above.csv"
         series.write_text("x\n3\n9\n5\n12\n4\n")
@@ -210,6 +264,14 @@ class TestMcCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
         assert not out.exists()
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        config = tmp_path / "config.json"
+        doc = {"family": "poisson", "tau": 0.8, "T": 20, "replications": 4}
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode("utf-8"))
+        out = tmp_path / "grid.csv"
+        assert main(["mc", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert len(out.read_text().splitlines()) == 4  # header + 3 r values
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -291,6 +353,14 @@ class TestCurvesCommand:
         rc = main(["curves", "--index", "poisson-dispersion", *flags, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", ["poisson-dispersion", "poisson-skewness"])
+    def test_n_for_poisson_index_is_error(self, tmp_path, capsys, index):
+        out = tmp_path / "curves.csv"
+        rc = main(["curves", "--index", index, "--n", "10", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: 'n' is only valid for the binomial family\n"
         assert not out.exists()
 
 

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -114,7 +117,7 @@ class TestRunGrid:
         assert keys == sorted(keys)
 
     def test_binomial_grid_carries_both_bounds(self):
-        config = GridConfig("binomial", replications=1, ns=(10, 25))
+        config = GridConfig("binomial", replications=1, n=(10, 25))
         scenarios = config.scenarios()
         assert len(scenarios) == 96
         first_two = scenarios[:2]
@@ -122,7 +125,7 @@ class TestRunGrid:
 
     def test_single_cell(self):
         config = GridConfig(
-            "poisson", taus=(0.8,), rs=(0.0,), lengths=(100,), replications=50
+            "poisson", tau=(0.8,), r=(0.0,), T=(100,), replications=50
         )
         results = run_grid(config)
         assert len(results) == 1
@@ -130,7 +133,7 @@ class TestRunGrid:
 
     def test_worker_counts_byte_identical(self, tmp_path):
         config = GridConfig(
-            "poisson", taus=(0.8, 0.6), rs=(0.0,), lengths=(100,), replications=256,
+            "poisson", tau=(0.8, 0.6), r=(0.0,), T=(100,), replications=256,
             master_seed=5,
         )
         payloads = []
@@ -143,7 +146,7 @@ class TestRunGrid:
     def test_error_rows_recorded_and_grid_continues(self):
         # tau below the asymptotics floor poisons one cell only
         config = GridConfig(
-            "poisson", taus=(0.8, 0.005), rs=(0.0,), lengths=(50,), replications=20
+            "poisson", tau=(0.8, 0.005), r=(0.0,), T=(50,), replications=20
         )
         results = run_grid(config)
         assert len(results) == 2
@@ -152,7 +155,7 @@ class TestRunGrid:
 
     def test_rows_and_csv(self, tmp_path):
         config = GridConfig(
-            "binomial", ns=(10,), taus=(0.8,), rs=(0.0,), lengths=(100,),
+            "binomial", n=(10,), tau=(0.8,), r=(0.0,), T=(100,),
             replications=100,
         )
         results = run_grid(config)
@@ -177,9 +180,9 @@ class TestGridStreams:
         return path.read_text().splitlines()
 
     def test_sub_grid_reproduces_its_rows(self, tmp_path):
-        axes = dict(ns=(10, 25), lengths=(50, 120), replications=300, master_seed=4)
-        full = GridConfig("binomial", taus=(1.0, 0.8, 0.6), rs=(0.0, 0.6), **axes)
-        sub = GridConfig("binomial", taus=(0.6,), rs=(0.6,), **axes)
+        axes = dict(n=(10, 25), T=(50, 120), replications=300, master_seed=4)
+        full = GridConfig("binomial", tau=(1.0, 0.8, 0.6), r=(0.0, 0.6), **axes)
+        sub = GridConfig("binomial", tau=(0.6,), r=(0.6,), **axes)
         full_lines = self._lines(run_grid(full, chunk_size=128), tmp_path / "full.csv")
         sub_lines = self._lines(run_grid(sub, workers=2, chunk_size=128), tmp_path / "sub.csv")
         assert len(sub_lines) == 5
@@ -187,7 +190,7 @@ class TestGridStreams:
 
     def test_one_cell_at_longest_T_equals_its_grid_row(self):
         config = GridConfig(
-            "poisson", taus=(0.8, 0.6), rs=(0.3,), lengths=(60, 150), replications=300,
+            "poisson", tau=(0.8, 0.6), r=(0.3,), T=(60, 150), replications=300,
             master_seed=9,
         )
         longest = [res for res in run_grid(config, chunk_size=128) if res.scenario.T == 150]
@@ -198,7 +201,7 @@ class TestGridStreams:
 
     def test_all_observed_rows_equal_across_r(self):
         config = GridConfig(
-            "poisson", taus=(1.0,), rs=(0.0, 0.3, 0.6), lengths=(80,), replications=200,
+            "poisson", tau=(1.0,), r=(0.0, 0.3, 0.6), T=(80,), replications=200,
             master_seed=2,
         )
         rows = result_rows(run_grid(config, chunk_size=64))
@@ -218,16 +221,16 @@ class TestGridStreams:
 
         monkeypatch.setattr(harness, "Tally", Recording)
         config = GridConfig(
-            "binomial", ns=(10, 25), taus=taus, rs=rs, lengths=(50, 120), replications=300
+            "binomial", n=(10, 25), tau=taus, r=rs, T=(50, 120), replications=300
         )
         run_grid(config, chunk_size=128)  # three chunks of two models
         assert built == [[50, 120]] * 6
 
     def test_rows_unchanged_by_other_laws_and_lengths(self, tmp_path):
         axes = dict(replications=300, master_seed=5)
-        small = GridConfig("poisson", taus=(0.8,), rs=(0.3,), lengths=(60, 150), **axes)
+        small = GridConfig("poisson", tau=(0.8,), r=(0.3,), T=(60, 150), **axes)
         large = GridConfig(
-            "poisson", taus=(1.0, 0.8, 0.6), rs=(0.0, 0.3), lengths=(60, 100, 150), **axes
+            "poisson", tau=(1.0, 0.8, 0.6), r=(0.0, 0.3), T=(60, 100, 150), **axes
         )
         small_lines = self._lines(run_grid(small, chunk_size=128), tmp_path / "small.csv")
         large_lines = self._lines(run_grid(large, chunk_size=128), tmp_path / "large.csv")
@@ -245,7 +248,7 @@ class TestGridStreams:
             return pool(max_workers=max_workers)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
-        config = GridConfig("poisson", taus=(0.8,), rs=(0.0,), lengths=(50,), replications=256)
+        config = GridConfig("poisson", tau=(0.8,), r=(0.0,), T=(50,), replications=256)
         run_grid(config, workers=16, chunk_size=64)  # four units
         run_grid(config, workers=16, chunk_size=256)  # one unit runs in process
         assert sizes == [4]
@@ -259,15 +262,30 @@ class TestGridConfigJson:
             "replications": 10, "master_seed": 3,
         }
         config = grid_config_from_dict(doc)
-        assert config.ns == (10,) and config.rs == (0.0, 0.6)
+        assert config.n == (10,) and config.r == (0.0, 0.6)
 
     def test_scalars_accepted(self):
         config = grid_config_from_dict({"family": "poisson", "tau": 0.8, "T": 100})
-        assert config.taus == (0.8,) and config.lengths == (100,)
+        assert config.tau == (0.8,) and config.T == (100,)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParameterError, match="unknown config keys: foo"):
             grid_config_from_dict({"family": "poisson", "foo": 1})
+
+    def test_field_names_are_the_config_keys(self):
+        config = GridConfig("binomial", n=(10,), tau=(0.8,), r=(0.3,), T=(50,), master_seed=7)
+        doc = {f.name: getattr(config, f.name) for f in dataclasses.fields(GridConfig)}
+        assert grid_config_from_dict(doc) == config
+        for old in ("ns", "taus", "rs", "lengths"):
+            with pytest.raises(ParameterError, match=f"unknown config keys: {old}"):
+                grid_config_from_dict({"family": "binomial", old: [1]})
+
+    def test_readme_example_is_the_config_of_its_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        doc = json.loads(block)
+        axes = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+        assert grid_config_from_dict(doc) == GridConfig(**axes)
 
     def test_n_rejected_for_poisson(self):
         with pytest.raises(ParameterError):
@@ -358,6 +376,24 @@ class TestSeriesCsv:
         p = tmp_path / "s.csv"
         p.write_text('"t","x"\n1,"2"\n2,3\n')
         assert list(load_series_csv(p).values) == [2, 3]
+
+    @pytest.mark.parametrize("field", ["100000000000000000000", "9223372036854775808", "1e20"])
+    def test_count_above_int64_errors_with_row(self, tmp_path, field):
+        p = tmp_path / "s.csv"
+        p.write_text(f"x\n3\nNA\n{field}\n4\n")
+        with pytest.raises(CsvFormatError, match=r"^row 4: count \d+ exceeds 2\*\*63 - 1$"):
+            load_series_csv(p)
+
+    def test_largest_int64_count_accepted(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(f"3\n{2**63 - 1}\n")
+        assert list(load_series_csv(p).values) == [3, 2**63 - 1]
+
+    @pytest.mark.parametrize("text, values", [("3\n4\n5\n6\n", [3, 4, 5, 6]), ("x\n4\n5\n", [4, 5])])
+    def test_byte_order_mark_skipped(self, tmp_path, text, values):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert list(load_series_csv(p).values) == values
 
     def test_integral_float_accepted(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -267,21 +267,21 @@ class TestMarkovMask:
 
 class TestApplyMask:
     def test_all_observed_unchanged(self):
-        s = CountSeries.fully_observed([2, 3, 1])
+        s = CountSeries([2, 3, 1])
         out = apply_mask(s, [1, 1, 1])
         assert np.array_equal(out.values, [2, 3, 1])
         assert out.n_observed == 3
 
     def test_partial_mask_hides_values(self):
-        out = apply_mask(CountSeries.fully_observed([2, 3, 1]), [1, 0, 1])
+        out = apply_mask(CountSeries([2, 3, 1]), [1, 0, 1])
         assert out.n_observed == 2
         assert list(out.observed_values()) == [2, 1]
         assert out.values[1] == 0  # sentinel
 
     def test_fully_masked_accepted(self):
-        out = apply_mask(CountSeries.fully_observed([2, 3, 1]), [0, 0, 0])
+        out = apply_mask(CountSeries([2, 3, 1]), [0, 0, 0])
         assert out.n_observed == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            apply_mask(CountSeries.fully_observed([2, 3, 1]), [1, 0])
+            apply_mask(CountSeries([2, 3, 1]), [1, 0])
