@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, NumericalDegeneracyError, ParameterError
+from .series import _check
 
 #: Observation probabilities below this are rejected as numerically meaningless.
 MIN_TAU = 0.01
@@ -61,8 +62,7 @@ class SequenceMaskLaw:
     """
 
     def __init__(self, tau: float, lagged_products):
-        if not 0.0 < tau <= 1.0:
-            raise ParameterError(f"tau must lie in (0, 1], got {tau}")
+        _check("tau", tau)
         vals = np.asarray(lagged_products, dtype=np.float64)
         if vals.ndim != 1:
             raise ParameterError("lagged products must be a one-dimensional sequence")
@@ -80,15 +80,6 @@ class SequenceMaskLaw:
         return self.tau**2
 
 
-def _check_mask_params(tau: float, r: float) -> None:
-    if not 0.0 < tau <= 1.0:
-        raise ParameterError(f"tau must lie in (0, 1], got {tau}")
-    if tau < MIN_TAU:
-        raise ParameterError(f"tau below {MIN_TAU} is numerically meaningless")
-    if not 0.0 <= r < 1.0:
-        raise ParameterError(f"r must lie in [0, 1), got {r}")
-
-
 def kappa(s: int, tau: float, r: float, rho: float) -> float:
     """Variance kernel combining missingness (tau, r) and dependence rho.
 
@@ -98,11 +89,11 @@ def kappa(s: int, tau: float, r: float, rho: float) -> float:
     At tau = 1 it collapses to (1 + rho**s)/(1 - rho**s) for any r, and at
     rho = 0 to 1/tau.
     """
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise ParameterError(f"s must be a positive integer, got {s}")
-    _check_mask_params(tau, r)
-    if not 0.0 <= rho < 1.0:
-        raise ParameterError(f"rho must lie in [0, 1), got {rho}")
+    _check("s", s, "lag")
+    if _check("tau", tau) < MIN_TAU:
+        raise ParameterError(f"tau below {MIN_TAU} is numerically meaningless")
+    _check("r", r)
+    _check("rho", rho)
     x = rho**s
     if 1.0 - r * x <= 0.0 or 1.0 - x <= 0.0:
         raise NumericalDegeneracyError("variance kernel pole at r*rho**s = 1 or rho = 1")
@@ -145,8 +136,8 @@ def clt_sigma_general(i: int, j: int, moments, mask_law) -> float:
     by direct summation of the lag series, truncated at a relative tolerance
     of 1e-12 and failing after 10**6 lags.
     """
-    if i < 1 or j < 1:
-        raise ParameterError("orders i, j must be >= 1")
+    _check("i", i, "order")
+    _check("j", j, "order")
     tau = mask_law.tau
     mi = moments.univariate(i)
     mj = moments.univariate(j)
@@ -183,6 +174,7 @@ def sigma_poisson_markov(
     i: int, j: int, mu: float, rho: float, tau: float, r: float
 ) -> float:
     """Closed-form sigma_ij for the Poisson AR family under a Markov mask."""
+    _check("mu", mu)
     if i > j:
         i, j = j, i
     k1 = kappa(1, tau, r, rho)
@@ -211,10 +203,8 @@ def sigma_binomial_markov(
     i: int, j: int, n: int, pi: float, rho: float, tau: float, r: float
 ) -> float:
     """Closed-form sigma_ij for the binomial AR family under a Markov mask."""
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must lie in (0, 1), got {pi}")
+    _check("n", n)
+    _check("pi", pi)
     if i > j:
         i, j = j, i
     q = 1.0 - pi
@@ -243,11 +233,6 @@ def sigma_binomial_markov(
     raise ParameterError(f"unsupported order pair ({i}, {j}); only i <= j <= 3")
 
 
-def _check_T(T: int) -> None:
-    if not (isinstance(T, (int, np.integer)) and T >= 1):
-        raise ParameterError(f"sample size T must be a positive integer, got {T}")
-
-
 def poi_dispersion_asym_general(moments, mask_law, T: int) -> IndexAsymptotics:
     """Asymptotics of the dispersion index for any count family, via series.
 
@@ -255,7 +240,7 @@ def poi_dispersion_asym_general(moments, mask_law, T: int) -> IndexAsymptotics:
     up to (2, 2)) and the mask law; no Markov structure is assumed.  The delta
     method for mu_(2)/mu - mu + 1 in (mu, mu_(2)).
     """
-    _check_T(T)
+    _check("T", T)
     mu = moments.univariate(1)
     if mu <= 0:
         raise ParameterError("mean must be positive")
@@ -273,9 +258,8 @@ def poi_dispersion_asym_markov(
 
     variance = (2/T) kappa(2), bias = -(1/T) kappa(1).
     """
-    _check_T(T)
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
+    _check("T", T)
+    _check("mu", mu)
     variance = 2.0 / T * kappa(2, tau, r, rho)
     bias = -1.0 / T * kappa(1, tau, r, rho)
     return IndexAsymptotics(1.0, variance, bias)
@@ -287,9 +271,8 @@ def bin_dispersion_asym_general(n: int, moments, mask_law, T: int) -> IndexAsymp
     The delta method for the index N / D, N = mu_(2) + mu - mu**2 and
     D = mu - mu**2 / n, in (mu, mu_(2)).
     """
-    _check_T(T)
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    _check("T", T)
+    _check("n", n)
     mu = moments.univariate(1)
     if not 0.0 < mu < n:
         raise ParameterError(f"mean must lie strictly between 0 and n, got {mu}")
@@ -311,11 +294,9 @@ def bin_dispersion_asym_markov(
 ) -> IndexAsymptotics:
     """Closed-form bounded-count dispersion asymptotics: the Poisson closed
     form compressed by the factor (1 - 1/n).  Does not depend on pi."""
-    _check_T(T)
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must lie in (0, 1), got {pi}")
+    _check("T", T)
+    _check("n", n)
+    _check("pi", pi)
     shrink = 1.0 - 1.0 / n
     variance = 2.0 / T * shrink * kappa(2, tau, r, rho)
     bias = -1.0 / T * shrink * kappa(1, tau, r, rho)
@@ -331,7 +312,7 @@ def skew_asym_general(moments, mask_law, T: int) -> IndexAsymptotics:
     index mu_(3) / (mu_(2) mu) implied by the supplied moments: 1 for a
     Poisson marginal, 1 - 2/n for a binomial one.
     """
-    _check_T(T)
+    _check("T", T)
     mu = moments.univariate(1)
     m2 = moments.univariate(2)
     m3 = moments.univariate(3)
@@ -357,9 +338,8 @@ def skew_asym_poisson_markov(
     variance = (1/(T mu**3)) [8 mu kappa(2) + 6 kappa(3)],
     bias = -(2/(T mu**2)) [mu kappa(1) + 2 kappa(2)]; null value 1.
     """
-    _check_T(T)
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
+    _check("T", T)
+    _check("mu", mu)
     k1, k2, k3 = (kappa(s, tau, r, rho) for s in (1, 2, 3))
     variance = (8.0 * mu * k2 + 6.0 * k3) / (T * mu**3)
     bias = -2.0 / (T * mu**2) * (mu * k1 + 2.0 * k2)
@@ -374,11 +354,9 @@ def skew_asym_binomial_markov(
     Null value 1 - 2/n; converges to the Poisson closed form as n grows with
     the mean mu = n*pi held fixed.
     """
-    _check_T(T)
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must lie in (0, 1), got {pi}")
+    _check("T", T)
+    _check("n", n)
+    _check("pi", pi)
     mu = n * pi
     k1, k2, k3 = (kappa(s, tau, r, rho) for s in (1, 2, 3))
     variance = (
@@ -406,7 +384,7 @@ def raw_poi_dispersion_asym(raw_moments, mask_law, T: int) -> IndexAsymptotics:
     raw moments ``univariate(k) = E[X**k]`` and ``mixed(k, l, h) =
     E[X_t**k X_{t-h}**l]``.  Agrees with the factorial route exactly.
     """
-    _check_T(T)
+    _check("T", T)
     tau = mask_law.tau
     mu = raw_moments.univariate(1)
     if mu <= 0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a synthetic series to CSV")
     sim.add_argument("--model", choices=["poisson", "binomial"], required=True)
-    sim.add_argument("--mu", type=float, default=3.0, help="mean (poisson model)")
+    sim.add_argument("--mu", type=float, help="mean (poisson model, default 3.0)")
     sim.add_argument("--rho", type=float, default=0.5, help="lag-1 autocorrelation")
     sim.add_argument("--n", type=int, help="upper bound (binomial model)")
     sim.add_argument("--pi", type=float, help="success probability (binomial model)")
@@ -85,11 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     seed = Seed(args.seed)
     missing = MissingSpec(args.tau, args.r)
+    other, flags = ("binomial", ("n", "pi")) if args.model == "poisson" else ("poisson", ("mu",))
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ParameterError(f"--{flag} is only valid for the {other} model")
     if args.model == "poisson":
-        for flag in ("n", "pi"):
-            if getattr(args, flag) is not None:
-                raise ParameterError(f"--{flag} is only valid for the binomial model")
-        series = simulate_poi_inar1(PoiInar1(args.mu, args.rho), args.length, seed)
+        mu = 3.0 if args.mu is None else args.mu
+        series = simulate_poi_inar1(PoiInar1(mu, args.rho), args.length, seed)
     else:
         if args.n is None or args.pi is None:
             raise CountDiagError("binomial model requires --n and --pi")
@@ -180,7 +183,12 @@ def _cmd_curves(args) -> int:
     return 0
 
 
+def _format_warning(message, *args, **kwargs) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command; a warning it shows prints as one ``warning:`` line."""
     args = build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
@@ -188,11 +196,14 @@ def main(argv=None) -> int:
         "mc": _cmd_mc,
         "curves": _cmd_curves,
     }
+    formatter, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return handlers[args.command](args)
     except CountDiagError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatter
 
 
 if __name__ == "__main__":

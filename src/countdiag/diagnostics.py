@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import CountSeries
+from .series import CountSeries, _check
 from .moments import sample_factorial_moments
 from .missingness import _two_sided_z, dr_acf, estimate_r, estimate_tau
 from .asymptotics import (
@@ -65,12 +65,10 @@ class NullSpec:
         if self.family not in (FAMILY_POISSON, FAMILY_BINOMIAL):
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family == FAMILY_BINOMIAL:
-            if self.n is None or int(self.n) < 2:
-                raise ParameterError("binomial null requires an upper bound n >= 2")
+            _check("n", self.n)
         elif self.n is not None:
             raise ParameterError(_N_POISSON)
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,7 @@ def index_bin_dispersion(series: CountSeries, n: int) -> float:
     (muhat_(2) + muhat - muhat**2) / (muhat (1 - muhat/n)); equals one in
     expectation under a Bin(n, pi) marginal.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    return _index_value(series, KIND_BIN_DISPERSION, n)
+    return _index_value(series, KIND_BIN_DISPERSION, _check("n", n))
 
 
 def index_skew(series: CountSeries) -> float:
@@ -206,7 +202,7 @@ INDEX_KINDS = _KindTable({
     ),
     KIND_BIN_DISPERSION: IndexKind(
         FAMILY_BINOMIAL, "disp", 2, _binomial_dispersion,
-        statistic=lambda series, n: index_bin_dispersion(series, int(n)),
+        statistic=lambda series, n: index_bin_dispersion(series, n),
         markov=lambda p, *dep: bin_dispersion_asym_markov(*p, *dep),
     ),
     KIND_POI_SKEWNESS: IndexKind(
@@ -229,13 +225,12 @@ def family_kinds(family: str) -> tuple:
 
 def marginal_params(family: str, mu: float, n: Optional[int] = None) -> tuple:
     """The closed forms' marginal parameters from mean and bound: (mu,) or (n, mu / n)."""
+    _check("mu", mu)
     if family == FAMILY_POISSON:
         if n is not None:
             raise ParameterError(_N_POISSON)
         return (mu,)
-    if n is None or int(n) < 2:
-        raise ParameterError("binomial family requires an upper bound n >= 2")
-    return (int(n), mu / n)
+    return (_check("n", n), mu / n)
 
 
 def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParams:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -21,7 +20,7 @@ from .errors import (
     FileAccessError,
     ParameterError,
 )
-from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1
+from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import Tally
 from .asymptotics import IndexAsymptotics
@@ -45,10 +44,8 @@ class Scenario:
     master_seed: int
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ParameterError(f"T must be >= 1, got {self.T}")
-        if self.replications < 1:
-            raise ParameterError(f"replications must be >= 1, got {self.replications}")
+        _check("T", self.T)
+        _check("replications", self.replications)
 
     @property
     def index_kinds(self) -> tuple:
@@ -243,20 +240,6 @@ def run_scenario(
     return _aggregate(scenario, chunks)
 
 
-def _require_int(key: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
-
-
-def _require_real(key: str, value) -> None:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ParameterError(f"{key} must be a finite real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Axes of a scenario grid; defaults mirror the standard study design.
@@ -277,21 +260,17 @@ class GridConfig:
     def __post_init__(self):
         if self.family not in ("poisson", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
-        _require_real("mu", self.mu)
-        _require_real("rho", self.rho)
-        _require_int("replications", self.replications, 1)
-        _require_int("master_seed", self.master_seed, 0)
-        axes = [("tau", self.tau, None), ("r", self.r, None), ("T", self.T, 1)]
-        if self.family == "binomial":
-            axes.append(("n", self.n, 2))
-        for key, values, low in axes:
+        _check("mu", self.mu)
+        _check("rho", self.rho, "real")  # a binomial rho may be negative; Bar1 bounds it
+        _check("replications", self.replications)
+        _check("master_seed", self.master_seed)
+        axes = ["tau", "r", "T"] + (["n"] if self.family == "binomial" else [])
+        for key in axes:
+            values = getattr(self, key)
             if len(values) == 0:
                 raise ParameterError(f"{key} must list at least one value")
             for value in values:
-                if low is None:
-                    _require_real(key, value)
-                else:
-                    _require_int(key, value, low)
+                _check(key, value)
         if self.family == "binomial":
             for n in self.n:
                 if not 0.0 < self.mu / n < 1.0:

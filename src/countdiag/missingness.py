@@ -11,7 +11,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateSeriesError, NumericalDegeneracyError, ParameterError
-from .series import CountSeries
+from .series import CountSeries, _check
 from .moments import sample_factorial_moments
 
 
@@ -41,9 +41,7 @@ def _two_sided_z(alpha: float) -> float:
 
     An alpha so small that 1 - alpha/2 rounds to 1 gives an infinite z.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    p = 1.0 - alpha / 2.0
+    p = 1.0 - _check("alpha", alpha) / 2.0
     return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
@@ -166,8 +164,7 @@ def acf_critical_band(tau_lag, T: int, alpha: float = 0.05) -> np.ndarray:
     (tau_lag = 1) this degenerates to the textbook +-z/sqrt(T) band.  Lags
     with tau_lag = 0 get a NaN half-width (band undefined there).
     """
-    if T < 1:
-        raise ParameterError(f"T must be >= 1, got {T}")
+    _check("T", T)
     z = _two_sided_z(alpha)
     tl = np.asarray(tau_lag, dtype=np.float64)
     if np.any(tl < 0.0) or np.any(tl > 1.0):

@@ -4,12 +4,12 @@ closed-form model moments (univariate, joint, raw) for the two count families.""
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import CountSeries
+from .series import CountSeries, _check
 
 def falling_factorial(x: int, k: int) -> int:
     """x_(k) = x*(x-1)*...*(x-k+1), with x_(0) = 1 and zero whenever k > x >= 0.
@@ -17,16 +17,8 @@ def falling_factorial(x: int, k: int) -> int:
     Computed in exact (arbitrary precision) integer arithmetic; the moment
     kernel evaluates arrays in float64 through :func:`_falling`.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ParameterError(f"order k must be a non-negative integer, got {k}")
-    if not (isinstance(x, (int, np.integer)) and x >= 0):
-        raise ParameterError(f"count must be a non-negative integer, got {x}")
-    out = 1
-    for i in range(k):
-        out *= int(x) - i
-        if out == 0:
-            break
-    return out
+    _check("k", k, "order")
+    return perm(_check("x", x, "count"), k)
 
 
 class Tally:
@@ -161,18 +153,15 @@ def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:
 
 def poisson_factorial_moment(mu: float, k: int) -> float:
     """k-th factorial moment of Poi(mu): mu**k."""
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    return float(mu) ** k
+    _check("mu", mu)
+    return float(mu) ** _check("k", k, "order")
 
 
 def binomial_factorial_moment(n: int, pi: float, k: int) -> float:
     """k-th factorial moment of Bin(n, pi): n_(k) * pi**k (zero for k > n)."""
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must lie in (0, 1), got {pi}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    return falling_factorial(int(n), k) * float(pi) ** k
+    _check("n", n)
+    _check("pi", pi)
+    return falling_factorial(n, k) * float(pi) ** k
 
 
 def _product_coefficient(k: int, s: int, i: int) -> int:
@@ -188,23 +177,7 @@ def bpoi_mixed_factorial(mu: float, rho: float, h: int, k: int, s: int) -> float
     closed form for a bivariate-Poisson pair with common-component intensity
     rho**h * mu.  Symmetric in (k, s).
     """
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if not 0.0 <= rho < 1.0:
-        raise ParameterError(f"rho must lie in [0, 1), got {rho}")
-    if h < 1:
-        raise ParameterError(f"lag must be >= 1, got {h}")
-    if k < 0 or s < 0:
-        raise ParameterError("orders must be non-negative")
-    if k == 0:
-        return poisson_factorial_moment(mu, s) if s > 0 else 1.0
-    if s == 0:
-        return poisson_factorial_moment(mu, k)
-    ratio = rho**h / mu
-    total = 0.0
-    for i in range(min(k, s) + 1):
-        total += _product_coefficient(k, s, i) * ratio**i
-    return mu**k * mu**s * total
+    return PoissonArMoments(mu, rho).mixed(k, s, _check("h", h, "lag"))
 
 
 def bbin_mixed_factorial(n: int, pi: float, rho: float, h: int, k: int, s: int) -> float:
@@ -214,30 +187,7 @@ def bbin_mixed_factorial(n: int, pi: float, rho: float, h: int, k: int, s: int) 
     (1 + rho**h (1-pi)/pi)**i, the bivariate-binomial closed form.  Symmetric
     in (k, s); zero when either order exceeds n.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 < pi < 1.0:
-        raise ParameterError(f"pi must lie in (0, 1), got {pi}")
-    if h < 1:
-        raise ParameterError(f"lag must be >= 1, got {h}")
-    if k < 0 or s < 0:
-        raise ParameterError("orders must be non-negative")
-    if k == 0:
-        return binomial_factorial_moment(n, pi, s) if s > 0 else 1.0
-    if s == 0:
-        return binomial_factorial_moment(n, pi, k)
-    if k > n or s > n:
-        return 0.0
-    a = 1.0 + (1.0 - pi) / pi * rho**h
-    if a == 1.0:
-        # rho**h vanishes beside 1: the pair is independent and factorizes
-        # exactly, where the weighted sum below would leave a rounding residue
-        return binomial_factorial_moment(n, pi, k) * binomial_factorial_moment(n, pi, s)
-    cns = comb(n, s)
-    total = 0.0
-    for i in range(min(k, s) + 1):
-        total += comb(k, i) * comb(n - k, s - i) / cns * a**i
-    return falling_factorial(n, k) * falling_factorial(n, s) * pi ** (k + s) * total
+    return BinomialArMoments(n, pi, rho).mixed(k, s, _check("h", h, "lag"))
 
 
 def lag0_mixed_factorial(univariate, k: int, s: int) -> float:
@@ -247,8 +197,8 @@ def lag0_mixed_factorial(univariate, k: int, s: int) -> float:
     k + s must be present.  Expands the product through the falling-factorial
     identity x_(k) x_(s) = sum_i C(k, i) C(s, i) i! x_(k+s-i).
     """
-    if k < 0 or s < 0:
-        raise ParameterError("orders must be non-negative")
+    _check("k", k, "order")
+    _check("s", s, "order")
     if k + s > len(univariate):
         raise ParameterError(
             f"univariate moments up to order {k + s} required, got {len(univariate)}"
@@ -260,8 +210,8 @@ def lag0_mixed_factorial(univariate, k: int, s: int) -> float:
 @lru_cache(maxsize=None)
 def stirling2(j: int, k: int) -> int:
     """Stirling number of the second kind S(j, k)."""
-    if j < 0 or k < 0:
-        raise ParameterError("indices must be non-negative")
+    _check("j", j, "order")
+    _check("k", k, "order")
     if j == k:
         return 1
     if k == 0 or k > j:
@@ -271,14 +221,19 @@ def stirling2(j: int, k: int) -> int:
 
 class _ArMoments:
     """The joint moments of an AR(1) oracle: lag zero from the univariate
-    moments, other lags from the family's ``_lagged(k, s, h)``, h >= 1."""
+    moments, other lags from the family's ``_lagged(k, s, h)``, h >= 1 and
+    both orders >= 1.  The parameters are checked once, by the constructor."""
 
     def mixed(self, k: int, s: int, h: int) -> float:
+        _check("k", k, "order")
+        _check("s", s, "order")
         if h < 0:
             k, s, h = s, k, -h
         if h == 0:
             uni = [self.univariate(j) for j in range(1, 7)]
             return lag0_mixed_factorial(uni, k, s)
+        if k == 0 or s == 0:
+            return self.univariate(k + s)
         return self._lagged(k, s, h)
 
 
@@ -286,39 +241,48 @@ class PoissonArMoments(_ArMoments):
     """Factorial-moment oracle for the stationary Poisson AR(1) count family."""
 
     def __init__(self, mu: float, rho: float):
-        if not mu > 0:
-            raise ParameterError(f"mu must be positive, got {mu}")
-        if not 0.0 <= rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {rho}")
-        self.mu = float(mu)
-        self.rho = float(rho)
+        self.mu = float(_check("mu", mu))
+        self.rho = float(_check("rho", rho))
 
     def univariate(self, k: int) -> float:
         return 1.0 if k == 0 else poisson_factorial_moment(self.mu, k)
 
     def _lagged(self, k: int, s: int, h: int) -> float:
-        return bpoi_mixed_factorial(self.mu, self.rho, h, k, s)
+        """The closed form of :func:`bpoi_mixed_factorial`."""
+        mu = self.mu
+        ratio = self.rho**h / mu
+        total = 0.0
+        for i in range(min(k, s) + 1):
+            total += _product_coefficient(k, s, i) * ratio**i
+        return mu**k * mu**s * total
 
 
 class BinomialArMoments(_ArMoments):
     """Factorial-moment oracle for the stationary binomial AR(1) count family."""
 
     def __init__(self, n: int, pi: float, rho: float):
-        if n < 2:
-            raise ParameterError(f"n must be >= 2, got {n}")
-        if not 0.0 < pi < 1.0:
-            raise ParameterError(f"pi must lie in (0, 1), got {pi}")
-        if not 0.0 <= rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {rho}")
-        self.n = int(n)
-        self.pi = float(pi)
-        self.rho = float(rho)
+        self.n = _check("n", n)
+        self.pi = float(_check("pi", pi))
+        self.rho = float(_check("rho", rho))
 
     def univariate(self, k: int) -> float:
         return 1.0 if k == 0 else binomial_factorial_moment(self.n, self.pi, k)
 
     def _lagged(self, k: int, s: int, h: int) -> float:
-        return bbin_mixed_factorial(self.n, self.pi, self.rho, h, k, s)
+        """The closed form of :func:`bbin_mixed_factorial`."""
+        n, pi = self.n, self.pi
+        if k > n or s > n:
+            return 0.0
+        a = 1.0 + (1.0 - pi) / pi * self.rho**h
+        if a == 1.0:
+            # rho**h vanishes beside 1: the pair is independent and factorizes
+            # exactly, where the weighted sum below would leave a rounding residue
+            return self.univariate(k) * self.univariate(s)
+        cns = comb(n, s)
+        total = 0.0
+        for i in range(min(k, s) + 1):
+            total += comb(k, i) * comb(n - k, s - i) / cns * a**i
+        return perm(n, k) * perm(n, s) * pi ** (k + s) * total
 
 
 class RawMoments:

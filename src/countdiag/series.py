@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -11,6 +13,55 @@ from .errors import ParameterError
 
 #: Value stored at unobserved positions.  No estimator ever reads it.
 MASK_SENTINEL = 0
+
+#: The domain of every parameter, keyed by the name that messages print: a
+#: (test, wording) pair for a finite real number, None for any finite real
+#: number, or the least value of an integer.  Lags, moment orders and counts
+#: share one entry each, whatever the caller names them.
+_DOMAINS = {
+    "mu": (lambda v: v > 0, "be positive"),
+    "rho": (lambda v: 0 <= v < 1, "lie in [0, 1)"),
+    "pi": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+    "alpha": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+    "tau": (lambda v: 0 < v <= 1, "lie in (0, 1]"),
+    "r": (lambda v: 0 <= v < 1, "lie in [0, 1)"),
+    "real": None,
+    "n": 2,
+    "T": 1,
+    "replications": 1,
+    "master_seed": 0,
+    "lag": 1,
+    "order": 0,
+    "count": 0,
+}
+
+
+def _check(name: str, value, domain: str = None):
+    """``value`` if it lies in the domain of ``domain`` (default ``name``), else
+    a ParameterError naming ``name``.
+
+    The type is checked first: an integer domain takes an integral number, any
+    other a finite real one, and a bool is never a number.  The exact types
+    int and float skip the slower abstract-class checks, since the series
+    routes check the orders of every lag's moment.
+    """
+    rule = _DOMAINS[domain or name]
+    if type(rule) is int:
+        if (
+            type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        ) and value >= rule:
+            return value
+        wanted = f"an integer >= {rule}"
+    elif (
+        type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ) and -math.inf < value < math.inf:
+        if rule is None or rule[0](value):
+            return value
+        raise ParameterError(f"{name} must {rule[1]}, got {value}")
+    else:
+        wanted = "a finite real number"
+    shown = repr(value) if isinstance(value, str) else value
+    raise ParameterError(f"{name} must be {wanted}, got {shown}")
 
 
 def _as_1d_int64(x, name: str) -> np.ndarray:
@@ -24,6 +75,12 @@ def _as_1d_int64(x, name: str) -> np.ndarray:
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.floor(arr)):
             raise ParameterError(f"{name} must contain integers")
+    if arr.dtype.kind in "uf":  # the cast would wrap an entry beyond int64 to another one
+        beyond = np.flatnonzero((arr >= 2**63) | (arr < -(2**63)))
+        if beyond.size:
+            i = beyond[0]
+            bound = "exceeds 2**63 - 1" if arr[i] > 0 else "is below -2**63"
+            raise ParameterError(f"{name} entry {arr[i]} at position {i} (0-based) {bound}")
     return arr.astype(np.int64)
 
 
@@ -87,10 +144,8 @@ class PoiInar1:
     family: ClassVar[str] = "poisson"
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ParameterError(f"rho must lie in [0, 1), got {self.rho}")
+        _check("mu", self.mu)
+        _check("rho", self.rho)
 
     @property
     def mean(self) -> float:
@@ -117,10 +172,9 @@ class Bar1:
     family: ClassVar[str] = "binomial"
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ParameterError(f"n must be an integer >= 2, got {self.n}")
-        if not 0.0 < self.pi < 1.0:
-            raise ParameterError(f"pi must lie in (0, 1), got {self.pi}")
+        _check("n", self.n)
+        _check("pi", self.pi)
+        _check("rho", self.rho, "real")
         lo = max(-self.pi / (1.0 - self.pi), -(1.0 - self.pi) / self.pi)
         if not lo < self.rho < 1.0:
             raise ParameterError(
@@ -157,10 +211,8 @@ class MissingSpec:
     r: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ParameterError(f"tau must lie in (0, 1], got {self.tau}")
-        if not 0.0 <= self.r < 1.0:
-            raise ParameterError(f"r must lie in [0, 1), got {self.r}")
+        _check("tau", self.tau)
+        _check("r", self.r)
 
     def lagged_product(self, h: int) -> float:
         """E[O_t O_{t+h}] = tau**2 + tau*(1-tau)*r**h (equals tau at h = 0)."""

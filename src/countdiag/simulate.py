@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .series import Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL
+from .series import Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check
 
 
 def _paths(x, T: int, step) -> np.ndarray:
@@ -50,8 +50,7 @@ def simulate_poi_inar1(spec: PoiInar1, T: int, seed: Seed) -> CountSeries:
     burn-in is needed; each step applies binomial thinning to the previous
     count and adds a Poisson innovation.
     """
-    if T < 1:
-        raise ParameterError(f"series length must be >= 1, got {T}")
+    _check("T", T)
     return CountSeries(_poisson_paths(spec.mu, spec.rho, T, 1, seed.generator())[0])
 
 
@@ -62,8 +61,7 @@ def simulate_bar1(spec: Bar1, T: int, seed: Seed) -> CountSeries:
     independent thinnings, one of the previous count with probability alpha
     and one of the head room n - X with probability beta.
     """
-    if T < 1:
-        raise ParameterError(f"series length must be >= 1, got {T}")
+    _check("T", T)
     return CountSeries(_binomial_paths(spec.n, spec.pi, spec.rho, T, 1, seed.generator())[0])
 
 
@@ -100,8 +98,7 @@ def simulate_markov_mask(spec: MissingSpec, T: int, seed: Seed) -> np.ndarray:
     tau*(1-tau)*r**h are P(1|1) = tau + (1-tau)*r and P(1|0) = tau*(1-r);
     the initial state is Bernoulli(tau).  ``r = 0`` yields an i.i.d. mask.
     """
-    if T < 1:
-        raise ParameterError(f"mask length must be >= 1, got {T}")
+    _check("T", T)
     return _markov_mask_from_uniforms(seed.generator().random(T), spec.tau, spec.r)
 
 

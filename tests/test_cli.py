@@ -56,6 +56,11 @@ class TestSimulateCommand:
             (["--r", "-0.5"], "r must lie in [0, 1), got -0.5"),
             (["--n", "5", "--pi", "0.3"], "--n is only valid for the binomial model"),
             (["--pi", "0.3"], "--pi is only valid for the binomial model"),
+            (["--mu", "inf"], "mu must be a finite real number, got inf"),
+            (
+                ["--model", "binomial", "--n", "10", "--pi", "0.3", "--mu", "7"],
+                "--mu is only valid for the poisson model",
+            ),
         ],
     )
     def test_flag_out_of_range_or_not_applicable_is_error(self, tmp_path, capsys, flags, message):
@@ -202,6 +207,24 @@ class TestDiagnoseCommand:
         reports = json.loads(out[out.index("\n[") :])
         assert [r["fitted"]["T"] for r in reports] == [4, 4]
 
+    def test_warning_is_one_line_on_stderr(self, tmp_path):
+        series = tmp_path / "four.csv"
+        series.write_text("x\n3\n4\n5\n6\n")
+        src = str(Path(countdiag.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "countdiag.cli", "diagnose", "--input", str(series),
+             "--null", "poisson"],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 0
+        assert done.stderr == (
+            "warning: fitted rho = 0.2500 gives the critical range [-0.8921, 2.0587], "
+            "below 0 where no index can fall: nearly vacuous test\n"
+        )
+
     def test_counts_above_n_is_error(self, tmp_path, capsys):
         series = tmp_path / "above.csv"
         series.write_text("x\n3\n9\n5\n12\n4\n")
@@ -346,6 +369,7 @@ class TestCurvesCommand:
             (["--r", "abc"], "--r value 'abc' is not a number"),
             (["--r", "0.3, x"], "--r value 'x' is not a number"),
             (["--r", ","], "--r must list at least one value, got ','"),
+            (["--mu", "inf"], "mu must be a finite real number, got inf"),
         ],
     )
     def test_bad_input_is_typed_error(self, tmp_path, capsys, flags, message):

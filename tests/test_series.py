@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+import countdiag as cd
 from countdiag import Bar1, CountSeries, MissingSpec, ParameterError, PoiInar1, Seed
+from countdiag.missingness import _two_sided_z
 
 
 class TestCountSeries:
@@ -51,6 +55,13 @@ class TestCountSeries:
         with pytest.raises(ParameterError, match="values must hold 64-bit integers"):
             CountSeries(values)
 
+    @pytest.mark.parametrize("mask", [[1, 1], [0, 1]])
+    @pytest.mark.parametrize("values", [[1e20, 1.0], np.array([2**63, 1], dtype=np.uint64)])
+    def test_counts_beyond_int64_rejected(self, values, mask):
+        # the int64 cast would wrap both, at an observed or a masked position
+        with pytest.raises(ParameterError, match=r"^values entry \S+ at position 0 .*exceeds 2\*\*63 - 1$"):
+            CountSeries(values, mask)
+
     def test_compact_drops_hidden(self):
         s = CountSeries([2, 9, 1], [1, 0, 1]).compact()
         assert s.T == 2 and s.n_observed == s.T
@@ -60,7 +71,10 @@ class TestModelSpecs:
     def test_poi_inar1_mean(self):
         assert PoiInar1(3.0, 0.5).mean == 3.0
 
-    @pytest.mark.parametrize("mu,rho", [(0.0, 0.5), (-1.0, 0.5), (3.0, 1.0), (3.0, -0.1)])
+    @pytest.mark.parametrize(
+        "mu,rho",
+        [(0.0, 0.5), (-1.0, 0.5), (3.0, 1.0), (3.0, -0.1), (math.inf, 0.5), ("3", 0.5), (True, 0.5)],
+    )
     def test_poi_inar1_domain(self, mu, rho):
         with pytest.raises(ParameterError):
             PoiInar1(mu, rho)
@@ -76,7 +90,7 @@ class TestModelSpecs:
     def test_bar1_negative_rho_inside_bound_accepted(self):
         Bar1(10, 0.5, -0.5)
 
-    @pytest.mark.parametrize("n,pi", [(1, 0.3), (10, 0.0), (10, 1.0)])
+    @pytest.mark.parametrize("n,pi", [(1, 0.3), (10, 0.0), (10, 1.0), (10, "0.3")])
     def test_bar1_domain(self, n, pi):
         with pytest.raises(ParameterError):
             Bar1(n, pi, 0.5)
@@ -97,7 +111,9 @@ class TestMissingSpec:
                 for h in range(0, 30):
                     assert 0.0 < spec.lagged_product(h) <= 1.0
 
-    @pytest.mark.parametrize("tau,r", [(0.0, 0.0), (1.1, 0.0), (0.5, -0.1), (0.5, 1.0)])
+    @pytest.mark.parametrize(
+        "tau,r", [(0.0, 0.0), (1.1, 0.0), (0.5, -0.1), (0.5, 1.0), ("0.8", 0.0), (0.8, "0.3")]
+    )
     def test_domain(self, tau, r):
         with pytest.raises(ParameterError):
             MissingSpec(tau, r)
@@ -119,3 +135,42 @@ class TestSeed:
             Seed(-1)
         with pytest.raises(ParameterError):
             Seed(1, -2)
+
+
+POISSON, MASK = PoiInar1(3.0, 0.5), MissingSpec(0.8, 0.6)
+
+#: One bad value at each entry point, and the parameter its message names.
+BAD_VALUES = [
+    (cd.kappa, (True, 0.8, 0.0, 0.5), "s"),
+    (cd.kappa, (1, True, 0.0, 0.5), "tau"),
+    (cd.poi_dispersion_asym_markov, (math.inf, 0.5, 0.8, 0.6, 100), "mu"),
+    (cd.skew_asym_poisson_markov, (3.0, 0.5, 0.8, 0.6, 2.5), "T"),
+    (cd.bin_dispersion_asym_markov, (2.5, 0.3, 0.5, 0.8, 0.6, 100), "n"),
+    (cd.skew_asym_binomial_markov, (10, "0.3", 0.5, 0.8, 0.6, 100), "pi"),
+    (cd.sigma_poisson_markov, (1, 1, math.inf, 0.5, 0.8, 0.6), "mu"),
+    (cd.sigma_binomial_markov, (1, 1, 2.5, 0.3, 0.5, 0.8, 0.6), "n"),
+    (cd.PoissonArMoments, (math.inf, 0.5), "mu"),
+    (cd.BinomialArMoments, (2.5, 0.3, 0.5), "n"),
+    (cd.bpoi_mixed_factorial, (3.0, 0.5, 1.5, 1, 1), "h"),
+    (cd.bbin_mixed_factorial, (2.5, 0.3, 0.5, 1, 1, 1), "n"),
+    (cd.poisson_factorial_moment, (3.0, 2.5), "k"),
+    (cd.binomial_factorial_moment, (10.5, 0.3, 2), "n"),
+    (cd.NullSpec, ("binomial", 2.7), "n"),
+    (cd.NullSpec, ("binomial", "10"), "n"),
+    (cd.NullSpec, ("poisson", None, "0.05"), "alpha"),
+    (cd.diagnostics.marginal_params, ("binomial", 3.0, 2.7), "n"),
+    (cd.diagnostics.marginal_params, ("poisson", math.inf), "mu"),
+    (cd.index_bin_dispersion, (CountSeries([1, 2, 3]), 2.5), "n"),
+    (_two_sided_z, ("0.05",), "alpha"),
+    (cd.acf_critical_band, ([0.5], 2.5), "T"),
+    (cd.simulate_poi_inar1, (POISSON, 2.5, Seed(1)), "T"),
+    (cd.simulate_bar1, (Bar1(10, 0.3, 0.5), "5", Seed(1)), "T"),
+    (cd.simulate_markov_mask, (MASK, True, Seed(1)), "T"),
+    (cd.Scenario, (POISSON, MASK, "5", 8, 1), "T"),
+]
+
+
+@pytest.mark.parametrize("entry, args, name", BAD_VALUES)
+def test_bad_value_is_parameter_error_naming_it(entry, args, name):
+    with pytest.raises(ParameterError, match=f"^{name} must "):
+        entry(*args)
