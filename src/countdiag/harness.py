@@ -261,7 +261,7 @@ class GridConfig:
         if self.family not in ("poisson", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
         _check("mu", self.mu)
-        _check("rho", self.rho, "real")  # a binomial rho may be negative; Bar1 bounds it
+        _check("rho", self.rho)
         _check("replications", self.replications)
         _check("master_seed", self.master_seed)
         axes = ["tau", "r", "T"] + (["n"] if self.family == "binomial" else [])
@@ -499,7 +499,98 @@ def load_series_csv(path) -> CountSeries:
     field is neither a number, NA nor empty; quoted fields are unquoted first.
     The file must be UTF-8 text (a leading byte-order mark is skipped), and
     every count at most 2**63 - 1.
+
+    A file of plain lines (at most 18 digits, NA or nothing on each, LF or
+    CRLF ends, an optional header) is read in one numpy pass over its bytes.
+    Any other file goes through the csv module, with the same result; so does
+    every file that fails, so that each error names its row the same way.
     """
+    series = _read_plain_counts(path)
+    return series if series is not None else _read_csv_rows(path)
+
+
+#: The most digits a plain line holds, so that no count reaches 2**63.
+_PLAIN_DIGITS = 18
+
+
+def _read_plain_counts(path) -> Optional[CountSeries]:
+    """The series in a file of plain lines, or None for any other file.
+
+    After an optional UTF-8 byte-order mark and an optional header line, each
+    line holds ASCII digits, NA or nothing, and ends with LF or CRLF (the last
+    one may end the file instead).  The header rule is the csv reader's.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError:
+        return None
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    crlf = (newlines > 0) & (buf[newlines - 1] == ord("\r"))
+    starts = np.concatenate(([0], newlines + 1))
+    ends = newlines - crlf
+    if starts[-1] < buf.size:  # the last line has no newline
+        ends = np.append(ends, buf.size)
+    else:
+        starts = starts[:-1]
+    if starts.size == 0:
+        return None
+    first = data[: ends[0]]
+    header = not (first.isdigit() and len(first) <= _PLAIN_DIGITS or first in (b"", b"NA"))
+    if header and not _is_header(_last_csv_field(first)):
+        return None
+    skip = int(header)
+    starts, ends, crlf = starts[skip:], ends[skip:], crlf[skip:]
+    if starts.size == 0:
+        return None
+    lengths = ends - starts
+    two = np.flatnonzero(lengths == 2)
+    na = two[(buf[starts[two]] == ord("N")) & (buf[starts[two] + 1] == ord("A"))]
+    # Every byte of the body that is not a digit must be a newline, the CR of
+    # a CRLF or a letter of an NA line: matching their count checks all lines.
+    known = newlines.size - skip + np.count_nonzero(crlf) + 2 * na.size
+    body = buf[starts[0] :]
+    if np.count_nonzero(body - np.uint8(ord("0")) > 9) != known or lengths.max() > _PLAIN_DIGITS:
+        return None
+    observed = lengths > 0
+    observed[na] = False
+    digits = np.where(observed, lengths, 0)
+    values = np.zeros(digits.size, dtype=np.int64)
+    for place in range(int(digits.max())):
+        byte = buf[ends - 1 - place]  # wraps round where place >= digits, which is masked
+        values += np.where(digits > place, byte.astype(np.int64) - ord("0"), 0) * 10**place
+    return CountSeries(values, observed)
+
+
+def _last_csv_field(line: bytes) -> Optional[str]:
+    """The stripped last field that the csv reader reads from a line without
+    quotes, CR or NUL, or None for any other line."""
+    if any(c in line for c in (b'"', b"\r", b"\0")) or len(line) >= csv.field_size_limit():
+        return None
+    try:
+        return line.decode("utf-8").split(",")[-1].strip()
+    except UnicodeDecodeError:
+        return None
+
+
+def _is_header(field: Optional[str]) -> bool:
+    """Whether a first row's last field makes it a header: a field that is
+    neither a number, NA nor empty (nor None, from a line left to the csv
+    reader)."""
+    if field in (None, "", "NA"):
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return True
+    return False
+
+
+def _read_csv_rows(path) -> CountSeries:
+    """Read a series of any layout with the csv module, and word every error."""
     try:
         with open_text(path, "r") as f:
             fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
@@ -507,12 +598,7 @@ def load_series_csv(path) -> CountSeries:
         raise CsvFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
     if not fields:
         raise CsvFormatError(f"{path}: empty file")
-    start = 0
-    if fields[0] not in ("", "NA"):
-        try:
-            float(fields[0])
-        except ValueError:
-            start = 1  # header row
+    start = 1 if _is_header(fields[0]) else 0
     values, mask = [], []
     for i, field in enumerate(fields[start:], start=start + 1):
         if field in ("", "NA"):

@@ -117,7 +117,9 @@ def dr_acf(series: CountSeries, max_lag: int) -> AcfEstimate:
     acov = dr_autocovariance(series, max_lag)
     if acov[0] <= 0.0:
         raise DegenerateSeriesError("observed series has zero variance")
-    tau_lag = _lag_sums(series.mask.astype(np.float64), max_lag)
+    o = series.mask == 1
+    # tau(l): pairs (t, t+l) observed at both ends, over T as in the autocovariances
+    tau_lag = np.array([np.count_nonzero(o[: T - l] & o[l:]) / T for l in range(max_lag + 1)])
     return AcfEstimate(acov / acov[0], tau_lag, T)
 
 

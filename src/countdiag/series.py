@@ -231,10 +231,8 @@ class Seed:
     stream: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.master, (int, np.integer)) and 0 <= self.master < 2**64):
-            raise ParameterError("master seed must be an unsigned 64-bit integer")
-        if not (isinstance(self.stream, (int, np.integer)) and self.stream >= 0):
-            raise ParameterError("stream index must be a non-negative integer")
+        _check("master_seed", self.master)
+        _check("stream", self.stream, "master_seed")
 
     def generator(self) -> np.random.Generator:
         seed = np.random.SeedSequence([int(self.master), int(self.stream)])

@@ -323,6 +323,8 @@ class TestMcCommand:
             ({"family": "binomial", "n": []}, "n must list at least one value"),
             ({"family": "binomial", "n": [10.5]}, "n must be an integer >= 2, got 10.5"),
             ({"family": "binomial", "n": [False]}, "n must be an integer >= 2, got False"),
+            ({"family": "binomial", "rho": -0.2}, "rho must lie in [0, 1), got -0.2"),
+            ({"rho": 1.0}, "rho must lie in [0, 1), got 1.0"),
         ],
     )
     def test_malformed_config_is_error(self, tmp_path, capsys, override, message):

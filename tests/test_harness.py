@@ -26,7 +26,7 @@ from countdiag import (
     write_grid_csv,
     write_series_csv,
 )
-from countdiag.harness import format_grid_table, result_rows
+from countdiag.harness import _read_csv_rows, _read_plain_counts, format_grid_table, result_rows
 from countdiag import poi_dispersion_asym_markov, skew_asym_binomial_markov
 
 
@@ -441,3 +441,78 @@ class TestSeriesCsv:
             back = load_series_csv(p)
         assert np.array_equal(back.mask, s.mask)
         assert np.array_equal(back.values, np.where(mask == 1, values, MASK_SENTINEL))
+
+    @staticmethod
+    def _both_paths(data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "s.csv"
+            p.write_bytes(data)
+            return _read_plain_counts(p), _read_csv_rows(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.integers(0, 10**18 - 1).flatmap(
+                    lambda v: st.integers(len(str(v)), 18).map(str(v).zfill)  # leading zeros
+                ),
+                st.sampled_from(["NA", ""]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        header=st.sampled_from([None, "x", "count", "Zählung", "t,x", "value "]),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        final_eol=st.booleans(),
+        bom=st.booleans(),
+    )
+    def test_plain_path_equals_csv_reader(self, lines, header, eol, final_eol, bom):
+        text = eol.join(([header] if header is not None else []) + lines)
+        if final_eol or lines[-1] == "":  # an empty last line needs its end to be a row
+            text += eol
+        data = (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+        plain, rows = self._both_paths(data)
+        assert plain is not None
+        assert plain.T == rows.T == len(lines)
+        assert plain.values.dtype == rows.values.dtype and plain.mask.dtype == rows.mask.dtype
+        assert np.array_equal(plain.values, rows.values)
+        assert np.array_equal(plain.mask, rows.mask)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"3"\n4\n',  # quotes
+            "t,x\n1,2\n",  # an index column
+            "2\n-1\n",  # a sign
+            "2\n 3\n",  # a space
+            "2\r3\n",  # a lone CR
+            "2.0\n3\n",
+            "1e2\n3\n",
+            "1_000\n3\n",
+            "2\n٣\n",  # a non-ASCII digit
+            "NA \n3\n",
+            "2\nNa\n",
+            "2\nnA\n",
+            "2\n1234567890123456789\n",  # 19 digits
+            "x\n",  # no data rows
+            "",
+        ],
+    )
+    def test_other_layouts_take_the_csv_reader(self, tmp_path, text):
+        p = tmp_path / "s.csv"
+        p.write_text(text, encoding="utf-8")
+        assert _read_plain_counts(p) is None
+
+    def test_largest_int64_count_read_by_the_csv_reader(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(f"x\n3\n{2**63 - 1}\n")
+        assert _read_plain_counts(p) is None
+        series = load_series_csv(p)
+        assert list(series.values) == [3, 2**63 - 1] and list(series.mask) == [1, 1]
+
+    def test_count_of_2_to_63_fails_in_the_csv_reader(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(f"x\n3\n{2**63}\n")
+        assert _read_plain_counts(p) is None
+        with pytest.raises(CsvFormatError, match=r"^row 3: count 9223372036854775808 exceeds 2\*\*63 - 1$"):
+            load_series_csv(p)

@@ -21,7 +21,7 @@ from countdiag import (
     simulate_markov_mask,
     simulate_poi_inar1,
 )
-from countdiag.missingness import _two_sided_z
+from countdiag.missingness import _lag_sums, _two_sided_z
 from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 
@@ -167,6 +167,16 @@ class TestDrAcf:
         rho_hat, tau_lag = _per_lag_reference(masked, 40)
         assert np.array_equal(est.rho_hat, rho_hat)
         assert np.array_equal(est.tau_lag, tau_lag)
+
+    @pytest.mark.parametrize("tau,r", [(1.0, 0.0), (0.8, 0.6), (0.4, 0.0)])
+    def test_pair_counts_equal_float_lag_sums(self, tau, r):
+        # tau_lag counts observed pairs as integers; the float64 lag sums of the
+        # 0/1 mask are the same exact integers, at the benchmark's T and lag.
+        T, max_lag = 100_000, 50
+        series = simulate_poi_inar1(PoiInar1(3.0, 0.5), T, Seed(65))
+        masked = apply_mask(series, simulate_markov_mask(MissingSpec(tau, r), T, Seed(66)))
+        reference = _lag_sums(masked.mask.astype(np.float64), max_lag)
+        assert np.array_equal(dr_acf(masked, max_lag).tau_lag, reference)
 
 
 class TestDurbinLevinson:

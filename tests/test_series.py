@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestSeed:
             Seed(-1)
         with pytest.raises(ParameterError):
             Seed(1, -2)
+
+    @pytest.mark.parametrize(
+        "master, stream, message",
+        [
+            (True, 0, "master_seed must be an integer >= 0, got True"),
+            (-1, 0, "master_seed must be an integer >= 0, got -1"),
+            (1.0, 0, "master_seed must be an integer >= 0, got 1.0"),
+            (1, False, "stream must be an integer >= 0, got False"),
+        ],
+    )
+    def test_domain_is_the_grid_config_rule(self, master, stream, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            Seed(master, stream)
 
 
 POISSON, MASK = PoiInar1(3.0, 0.5), MissingSpec(0.8, 0.6)
