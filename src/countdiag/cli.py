@@ -4,6 +4,7 @@ Carlo grids, and emit asymptotic curve tables."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -28,7 +29,9 @@ from .harness import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="countdiag",
         description=(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
 from .series import CountSeries, _check
-from .moments import sample_factorial_moments
+from .moments import _observed_mean, sample_factorial_moments
 from .missingness import _two_sided_z, dr_acf, estimate_r, estimate_tau
 from .asymptotics import (
     bin_dispersion_asym_markov,
@@ -132,15 +132,9 @@ def index_skew(series: CountSeries) -> float:
 
 
 def _index_value(series: CountSeries, kind: str, n: Optional[int] = None) -> float:
-    """One series' index by the table's formula; raises where a batch gets NaN."""
+    """One series' index, from a tally of its own order."""
     spec = INDEX_KINDS[kind]
-    muhat = sample_factorial_moments(series, spec.order)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, conditions = spec.formula(muhat, n)
-    for ok, message in conditions:
-        if not ok:
-            raise DegenerateSeriesError(message.format(mu=muhat[0], n=n))
-    return float(value)
+    return spec.value(sample_factorial_moments(series, spec.order), n)
 
 
 # Index formulas over factorial moments mu[k-1] (scalars, or one entry per
@@ -167,17 +161,17 @@ def _skewness(mu, n):
 class IndexKind:
     """One index of one null family: its estimator, closed form and CSV columns.
 
-    ``statistic(series, n)`` is the public one-series estimator and ``markov(
-    marginal, rho, tau, r, T)`` the Markov closed form.  Both look up their
-    module-level target when called, so a wrapper installed on it (a profiler,
-    the benchmark's tracer) sees every call.
+    ``formula`` reads the factorial moments ``muhat[k-1]`` up to ``order`` (any
+    further ones are ignored), and ``markov(marginal, rho, tau, r, T)`` is the
+    Markov closed form, which looks up its module-level target when called, so
+    a wrapper installed on it (a profiler, the benchmark's tracer) sees every
+    call.
     """
 
     family: str
     prefix: str  # column prefix in grid CSVs
     order: int  # highest factorial moment the formula reads
     formula: Callable
-    statistic: Callable
     markov: Callable
 
     def estimate(self, muhat, n: Optional[int] = None) -> np.ndarray:
@@ -185,6 +179,16 @@ class IndexKind:
         with np.errstate(divide="ignore", invalid="ignore"):
             value, conditions = self.formula(muhat, n)
         return np.where(np.logical_and.reduce([ok for ok, _ in conditions]), value, np.nan)
+
+    def value(self, muhat, n: Optional[int] = None) -> float:
+        """The index of one series from its moments ``muhat[k-1]``; raises
+        DegenerateSeriesError where :meth:`estimate` gives NaN."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, conditions = self.formula(muhat, n)
+        for ok, message in conditions:
+            if not ok:
+                raise DegenerateSeriesError(message.format(mu=muhat[0], n=n))
+        return float(value)
 
 
 class _KindTable(dict):
@@ -197,22 +201,18 @@ class _KindTable(dict):
 INDEX_KINDS = _KindTable({
     KIND_POI_DISPERSION: IndexKind(
         FAMILY_POISSON, "disp", 2, _poisson_dispersion,
-        statistic=lambda series, n: index_poi_dispersion(series),
         markov=lambda p, *dep: poi_dispersion_asym_markov(*p, *dep),
     ),
     KIND_BIN_DISPERSION: IndexKind(
         FAMILY_BINOMIAL, "disp", 2, _binomial_dispersion,
-        statistic=lambda series, n: index_bin_dispersion(series, n),
         markov=lambda p, *dep: bin_dispersion_asym_markov(*p, *dep),
     ),
     KIND_POI_SKEWNESS: IndexKind(
         FAMILY_POISSON, "skew", 3, _skewness,
-        statistic=lambda series, n: index_skew(series),
         markov=lambda p, *dep: skew_asym_poisson_markov(*p, *dep),
     ),
     KIND_BIN_SKEWNESS: IndexKind(
         FAMILY_BINOMIAL, "skew", 3, _skewness,
-        statistic=lambda series, n: index_skew(series),
         markov=lambda p, *dep: skew_asym_binomial_markov(*p, *dep),
     ),
 })
@@ -246,7 +246,7 @@ def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParam
     """
     if series.T < 2:
         raise DegenerateSeriesError(f"series too short to fit: T={series.T}, need T >= 2")
-    mu = float(sample_factorial_moments(series, 1)[0])
+    mu = _observed_mean(series)
     tau = estimate_tau(series.mask)
     acf = dr_acf(series, 1)
     if acf.tau_lag[1] == 0.0:
@@ -337,8 +337,9 @@ def test_indices(
     AR(1) null; one report per kind, in order.
 
     Fits the plug-in parameters from the series once (respecting the mask),
-    then compares each sample index against critical values from the matching
-    closed-form asymptotics.  With ``null.ignore_missing`` the masked
+    tallies it once for the factorial moments of every kind, then compares
+    each sample index against critical values from the matching closed-form
+    asymptotics.  With ``null.ignore_missing`` the masked
     positions are dropped first and the dependence parameter is re-estimated
     on the compacted series.  A binomial null rejects observed counts above n.
     A lower critical value below 0, the least value of every index, is
@@ -354,6 +355,7 @@ def test_indices(
             )
     work = series.compact() if null.ignore_missing else series
     fitted = fit_null_params(work, n=null.n)
+    muhat = sample_factorial_moments(work, max((spec.order for spec in specs), default=1))
     reports = []
     for kind, spec in zip(kinds, specs):
         report = test_from_params(
@@ -366,7 +368,7 @@ def test_indices(
             T=fitted.T,
             n=null.n,
             alpha=null.alpha,
-            statistic=spec.statistic(work, null.n),
+            statistic=spec.value(muhat, null.n),
             sided=sided,
         )
         report = replace(report, n_observed=work.n_observed)

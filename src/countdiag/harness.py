@@ -593,9 +593,12 @@ def _read_csv_rows(path) -> CountSeries:
     """Read a series of any layout with the csv module, and word every error."""
     try:
         with open_text(path, "r") as f:
-            fields = [row[-1].strip() if row else "" for row in csv.reader(f)]
+            reader = csv.reader(f)
+            fields = [row[-1].strip() if row else "" for row in reader]
     except UnicodeDecodeError as err:
         raise CsvFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:  # such as a field above csv.field_size_limit()
+        raise CsvFormatError(f"{path}: row {reader.line_num}: {err}") from None
     if not fields:
         raise CsvFormatError(f"{path}: empty file")
     start = 1 if _is_header(fields[0]) else 0

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, NumericalDegeneracyError, ParameterError
 from .series import CountSeries, _check
-from .moments import sample_factorial_moments
+from .moments import _observed_mean
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,12 @@ def estimate_r(mask) -> float:
 
 
 def _lag_sums(d: np.ndarray, max_lag: int) -> np.ndarray:
-    """(1/T) * sum_t d_t d_{t+l} for l = 0..max_lag, one lag at a time."""
+    """(1/T) * sum_t d_t d_{t+l} for l = 0..max_lag, one lag at a time.
+
+    Each lag is numpy's pairwise ``sum`` of the elementwise products, not a
+    BLAS dot product: OpenBLAS's ``ddot`` splits the sum by thread, so its
+    bits change with ``OPENBLAS_NUM_THREADS``.
+    """
     T = d.size
     return np.array([float((d[: T - l] * d[l:]).sum()) / T for l in range(max_lag + 1)])
 
@@ -98,10 +103,13 @@ def dr_autocovariance(series: CountSeries, max_lag: int) -> np.ndarray:
     T = series.T
     if not 0 <= max_lag < T:
         raise ParameterError(f"max lag must lie in [0, {T - 1}], got {max_lag}")
-    muhat = sample_factorial_moments(series, 1)[0]
-    o = series.mask.astype(np.float64)
-    x = np.where(series.mask == 1, series.values, 0).astype(np.float64)
-    return _lag_sums((x - muhat) * o, max_lag)
+    muhat = _observed_mean(series)
+    d = series.values.astype(np.float64)
+    d -= muhat
+    # a masked position holds (0 - muhat) * 0, the zero of O_t (X_t - muhat)
+    # with its sign, whatever count it stores
+    d[series.mask != 1] = (0.0 - muhat) * 0.0
+    return _lag_sums(d, max_lag)
 
 
 def dr_acf(series: CountSeries, max_lag: int) -> AcfEstimate:

@@ -139,6 +139,9 @@ def factorial_moments(values, mask, m: int, ends=None) -> np.ndarray:
     return Tally(counts, ends).moments(mask, m)
 
 
+_NONE_OBSERVED = "series has no observed positions"
+
+
 def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:
     """Factorial moments of orders 1..m from the observed positions only.
 
@@ -147,8 +150,21 @@ def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:
     numerator or denominator.
     """
     if series.n_observed == 0:
-        raise DegenerateSeriesError("series has no observed positions")
+        raise DegenerateSeriesError(_NONE_OBSERVED)
     return factorial_moments(series.values, series.mask, m)
+
+
+def _observed_mean(series: CountSeries) -> float:
+    """The float64 sum of the observed counts over their number, without a tally.
+
+    Below 2**53 the sum is exact in any order, so the mean equals
+    ``sample_factorial_moments(series, 1)[0]`` bit for bit; above, it rounds
+    but never wraps, as an int64 sum of counts up to 2**63 - 1 would.
+    """
+    observed = series.values[series.mask == 1]
+    if observed.size == 0:
+        raise DegenerateSeriesError(_NONE_OBSERVED)
+    return float(observed.sum(dtype=np.float64)) / observed.size
 
 
 def poisson_factorial_moment(mu: float, k: int) -> float:

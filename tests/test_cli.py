@@ -178,6 +178,15 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and str(series) in err
 
+    def test_header_above_the_csv_field_limit_is_error(self, tmp_path, capsys):
+        series = tmp_path / "wide.csv"
+        series.write_text("h" * 200_000 + "\n3\n4\n5\n")
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: {series}: row 1: field larger than field limit (131072)\n"
+        )
+
     def test_n_for_poisson_null_is_error(self, series_file, tmp_path, capsys):
         payload = tmp_path / "report.json"
         rc = main([

@@ -33,12 +33,14 @@ from countdiag.diagnostics import (
     KIND_BIN_SKEWNESS,
     KIND_POI_DISPERSION,
     KIND_POI_SKEWNESS,
+    _index_value,
+    family_kinds,
     marginal_params,
 )
-from countdiag.cli import build_parser
-from countdiag.harness import _index_estimates
+from countdiag.cli import build_parser, main
+from countdiag.harness import _index_estimates, write_series_csv
 from countdiag.missingness import dr_acf
-from countdiag.moments import Tally, factorial_moments
+from countdiag.moments import Tally, factorial_moments, sample_factorial_moments
 
 
 class TestIndexEstimators:
@@ -122,7 +124,7 @@ class TestBatchedEstimator:
             for i in range(values.shape[0]):
                 series = CountSeries(values[i], mask[i])
                 try:
-                    single = INDEX_KINDS[kind].statistic(series, n)
+                    single = _index_value(series, kind, n)
                 except DegenerateSeriesError:
                     assert np.isnan(batched[kind][i])
                 else:
@@ -209,6 +211,74 @@ class TestObservedValuesOnly:
                 return np.float64(statistic(series)).tobytes()
 
             assert _outcome(lambda: bits(a)) == _outcome(lambda: bits(b))
+
+
+class TestOneReadPerDiagnosis:
+    """A diagnosis tallies its series once, at the highest order of its kinds,
+    and each index read from that tally has the bits of its own read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([12, 5000]).flatmap(_masked_rows),
+        st.sampled_from(["poisson", "binomial"]),
+    )
+    def test_shared_read_equals_each_kinds_own_read(self, rows, family):
+        # counts up to 5000 keep every third-order sum exact (below 2**53)
+        values, mask = (np.array(a, dtype=np.int64)[0] for a in rows)
+        series = CountSeries(values, mask)
+        n = 10 if family == "binomial" else None
+        for m in (2, 3):
+            for kind in family_kinds(family):
+                spec = INDEX_KINDS[kind]
+                if spec.order > m:
+                    continue
+
+                def shared():
+                    return spec.value(sample_factorial_moments(series, m), n).hex()
+
+                def own():
+                    return _index_value(series, kind, n).hex()
+
+                assert _outcome(shared) == _outcome(own)
+
+    @pytest.fixture
+    def tallies(self, monkeypatch):
+        import countdiag.moments as moments
+
+        built = []
+        init = moments.Tally.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(moments.Tally, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("index", ["both", "dispersion", "skewness"])
+    @pytest.mark.parametrize("ignore", [False, True])
+    def test_diagnose_tallies_once(self, tmp_path, tallies, index, ignore):
+        series = simulate_bar1(Bar1(10, 0.3, 0.5), 2000, Seed(31))
+        masked = apply_mask(series, simulate_markov_mask(MissingSpec(0.7, 0.4), 2000, Seed(32)))
+        path, payload = tmp_path / "series.csv", tmp_path / "report.json"
+        write_series_csv(masked, path)
+        argv = ["diagnose", "--input", str(path), "--null", "binomial", "--n", "10",
+                "--index", index, "--json", str(payload)] + ["--ignore-missing"] * ignore
+        assert main(argv) == 0
+        assert len(tallies) == 1
+        work = masked.compact() if ignore else masked
+        own = {"dispersion": index_bin_dispersion(work, 10), "skewness": index_skew(work)}
+        reports = json.loads(payload.read_text())
+        assert [r["statistic"] for r in reports] == [
+            own[kind] for kind in ("dispersion", "skewness") if index in ("both", kind)
+        ]
+
+    def test_fit_and_acf_read_no_tally(self, tallies):
+        series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 2000, Seed(33))
+        masked = apply_mask(series, simulate_markov_mask(MissingSpec(0.8, 0.6), 2000, Seed(34)))
+        dr_acf(masked, 50)
+        fit_null_params(masked)
+        assert tallies == []
 
 
 class TestIndexKindTable:

@@ -413,6 +413,16 @@ class TestSeriesCsv:
         with pytest.raises(CsvFormatError, match="empty"):
             load_series_csv(p)
 
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_field_above_the_csv_limit_names_path_and_row(self, tmp_path, row):
+        lines = ["x", "3", "4", "5"]
+        lines[row - 1] = ("h" if row == 1 else "7") * 200_000
+        p = tmp_path / "wide.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_series_csv(p)
+        assert str(err.value) == f"{p}: row {row}: field larger than field limit (131072)"
+
     def test_write_read_round_trip(self, tmp_path):
         from countdiag import CountSeries
 

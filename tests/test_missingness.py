@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
+import countdiag
 from countdiag import (
     CountSeries,
     DegenerateSeriesError,
@@ -64,6 +70,26 @@ class TestEstimateR:
 
 
 class TestDrAutocovariance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bits_equal_the_masked_product_reference(self, data):
+        # the centred series is built in place, with the bits of the product
+        # (x - muhat) * o, whatever the masked positions store
+        T = data.draw(st.integers(1, 40))
+        values = np.array(data.draw(st.lists(st.integers(0, 6), min_size=T, max_size=T)))
+        mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+        mask[data.draw(st.integers(0, T - 1))] = 1
+        hidden = np.flatnonzero(mask == 0)
+        garbage = st.integers(-(10**6), 10**6)  # never read
+        values[hidden] = data.draw(st.lists(garbage, min_size=hidden.size, max_size=hidden.size))
+        max_lag = data.draw(st.integers(0, T - 1))
+        x = np.where(mask == 1, values, 0).astype(np.float64)
+        o = mask.astype(np.float64)
+        d = (x - x.sum() / o.sum()) * o
+        expected = [float((d[: T - l] * d[l:]).sum()) / T for l in range(max_lag + 1)]
+        acov = dr_autocovariance(CountSeries(values, mask), max_lag)
+        assert acov.tobytes() == np.array(expected).tobytes()
+
     def test_constant_series_zero(self):
         s = CountSeries([4, 4, 4, 4, 4])
         acov = dr_autocovariance(s, 3)
@@ -177,6 +203,31 @@ class TestDrAcf:
         masked = apply_mask(series, simulate_markov_mask(MissingSpec(tau, r), T, Seed(66)))
         reference = _lag_sums(masked.mask.astype(np.float64), max_lag)
         assert np.array_equal(dr_acf(masked, max_lag).tau_lag, reference)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # a BLAS dot product would split each lag sum by thread
+        script = (
+            "import sys\n"
+            "from countdiag import MissingSpec, PoiInar1, Seed, apply_mask, dr_acf\n"
+            "from countdiag import simulate_markov_mask, simulate_poi_inar1\n"
+            "T = 100_000\n"
+            "series = simulate_poi_inar1(PoiInar1(3.0, 0.5), T, Seed(67))\n"
+            "mask = simulate_markov_mask(MissingSpec(0.8, 0.6), T, Seed(68))\n"
+            "acf = dr_acf(apply_mask(series, mask), 50)\n"
+            "sys.stdout.write((acf.rho_hat.tobytes() + acf.tau_lag.tobytes()).hex())\n"
+        )
+        src = str(Path(countdiag.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0]) == 2 * 8 * 2 * 51
+        assert outputs[0] == outputs[1]
 
 
 class TestDurbinLevinson:

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from countdiag import (
     sample_factorial_moments,
     stirling2,
 )
-from countdiag.moments import Tally, factorial_moments
+from countdiag.moments import Tally, _observed_mean, factorial_moments
 from countdiag.simulate import _binomial_paths, _poisson_paths
 from countdiag.simulate import _markov_mask_from_uniforms
 
@@ -257,6 +259,42 @@ class TestTallyKernel:
             assert peak < bound * (values.nbytes + mask.nbytes)
             want = reference_factorial_moments(values, mask, 3, ends)
             assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestObservedMean:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_first_tallied_moment(self, data):
+        # every observed sum stays below 200 * 2**40 < 2**53, where both are exact
+        T = data.draw(st.integers(1, 200))
+        top = data.draw(st.sampled_from([1, 60, 2**20, 2**40]))
+        values = np.array(data.draw(st.lists(st.integers(0, top), min_size=T, max_size=T)))
+        one = st.integers(0, T - 1).map(lambda t: [int(i == t) for i in range(T)])
+        mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T) | one))
+        hidden = np.flatnonzero(mask == 0)
+        garbage = st.integers(-(2**63), 2**63 - 1)  # never read
+        values[hidden] = data.draw(st.lists(garbage, min_size=hidden.size, max_size=hidden.size))
+        series = CountSeries(values, mask)
+        if series.n_observed == 0:
+            for mean in (_observed_mean, lambda s: sample_factorial_moments(s, 1)):
+                with pytest.raises(DegenerateSeriesError, match="no observed positions"):
+                    mean(series)
+            return
+        mean = _observed_mean(series)
+        assert type(mean) is float
+        assert mean.hex() == float(sample_factorial_moments(series, 1)[0]).hex()
+
+    def test_counts_of_ten_to_the_eighteen_do_not_wrap(self):
+        rng = np.random.default_rng(18)
+        T = 100_000
+        values = 10**18 + rng.integers(0, 10**17, T)
+        mask = rng.random(T) < 0.8
+        observed = [int(v) for v in values[mask]]
+        assert values[mask].sum() != sum(observed)  # an int64 sum wraps here
+        exact = Fraction(sum(observed), len(observed))
+        mean = _observed_mean(CountSeries(values, mask))
+        assert math.isfinite(mean)
+        assert abs(Fraction(mean) - exact) <= Fraction(1e-15) * exact
 
 
 class TestMarginalFactorialMoments:
