@@ -2,18 +2,129 @@
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ParameterError
 from .series import Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check
 
 
-def _paths(x, T: int, step) -> np.ndarray:
+#: Probability mass a transition table may leave out: the spacing of
+#: numpy's float64 uniforms, below which inversion cannot tell two laws apart.
+_TAIL = 2.0**-53
+#: Uniforms drawn at a time (1 MiB), as a block of steps of every path.
+_BLOCK = 1 << 17
+#: Uniforms turned into Python floats at a time on the single-path route.
+_SCALARS = 4096
+
+
+def _poisson_pmf(lam: float, size: int) -> np.ndarray:
+    """Poi(lam) probabilities of 0..size-1, by recursion outward from the mode,
+    scaled to sum to 1 (the size used here leaves out less than _TAIL)."""
+    m = min(int(lam), size - 1)
+    p = np.empty(size)
+    p[m] = math.exp(m * math.log(lam) - lam - math.lgamma(m + 1) if m else -lam)
+    p[m + 1 :] = p[m] * np.cumprod(lam / np.arange(m + 1, size))
+    p[:m] = p[m] * np.cumprod(np.arange(m, 0, -1) / lam)[::-1]
+    return p / p.sum()
+
+
+def _poisson_cut(lam: float) -> int:
+    """The least K with P(Poi(lam) >= K) < _TAIL."""
+    pmf = _poisson_pmf(lam, int(lam + 10.0 * math.sqrt(lam)) + 40)
+    return int(np.count_nonzero(np.cumsum(pmf[::-1])[::-1] >= _TAIL))
+
+
+def _guide_cells(J: int) -> int:
+    """Guide cells per row of a table over J states: the power of two at or above 4J."""
+    return 1 << (4 * J - 1).bit_length()
+
+
+def _fits(K: int, J: int, cells: int) -> bool:
+    """Whether K rows over J states, cumulative and guide, hold at most ``cells`` entries."""
+    return 2 * K * _guide_cells(J) <= cells
+
+
+def _poisson_rows(mu: float, rho: float, cells: int):
+    """PoINAR(1) transition pmf rows, Bin(k, rho) * Poi(mu(1-rho)) over 0..J-1
+    for the states k < K, or None if their table would not fit ``cells``.
+
+    K leaves out less than _TAIL of the stationary Poi(mu); a row thins at
+    most K - 1 counts, so J leaves out less than _TAIL of each row.
+    """
+    if 8.0 * mu * mu > cells:  # K > mu and M >= 4K: no table fits, so skip finding K
+        return None
+    lam = mu * (1.0 - rho)
+    K = _poisson_cut(mu)
+    J = K - 1 + _poisson_cut(lam)
+    if not _fits(K, J, cells):
+        return None
+    return _thinned(_poisson_pmf(lam, J), rho, K)
+
+
+def _thinned(first: np.ndarray, p: float, K: int) -> np.ndarray:
+    """K rows over the columns of ``first``: row k is ``first`` convolved with
+    Bin(k, p), by row_{k+1} = (1-p) row_k + p shift(row_k)."""
+    rows = np.empty((K, first.size))
+    rows[0] = first
+    for k in range(1, K):
+        np.multiply(rows[k - 1], 1.0 - p, out=rows[k])
+        rows[k, 1:] += p * rows[k - 1, :-1]
+    return rows
+
+
+def _binomial_rows(n: int, alpha: float, beta: float, cells: int):
+    """BAR(1) transition pmf rows, Bin(k, alpha) * Bin(n-k, beta) over 0..n
+    for every state k <= n, or None if their table would not fit ``cells``."""
+    N = n + 1
+    if not _fits(N, N, cells):
+        return None
+    one = np.eye(1, N)[0]  # the pmf of 0
+    thin, head = _thinned(one, alpha, N), _thinned(one, beta, N)[::-1]
+    rows = np.zeros((N, N))
+    for i in range(N):  # rows k >= i gain Bin(k, alpha)[i] * Bin(n-k, beta) shifted by i
+        rows[i:, i:] += thin[i:, i, None] * head[i:, : N - i]
+    return rows
+
+
+class _Table(NamedTuple):
+    """Inversion table of the transition pmf of the states k < K.
+
+    ``cdf`` holds the K cumulative rows, each capped at 1.0, ending at 1.0 and
+    padded with 1.0 to M columns.  ``guide`` holds, for row k and cell c < M,
+    the flat index k*M + j of the least j with cdf[k, j] > c/M: a uniform u
+    searches from cell floor(u*M) and never passes its answer.  ``closed``
+    says that every row stays below K.
+    """
+
+    K: int
+    M: int
+    cdf: np.ndarray
+    guide: np.ndarray
+    closed: bool
+
+
+def _inversion_table(pmf: np.ndarray) -> _Table:
+    """The _Table of a K x J transition pmf, with M = _guide_cells(J)."""
+    K, J = pmf.shape
+    M = _guide_cells(J)
+    cdf = np.ones((K, M))
+    np.cumsum(pmf, axis=1, out=cdf[:, :J])
+    np.minimum(cdf, 1.0, out=cdf)
+    cdf[:, J - 1] = 1.0
+    cells = np.arange(M) / M
+    guide = [np.searchsorted(row, cells, side="right") + k * M for k, row in enumerate(cdf)]
+    return _Table(K, M, cdf.ravel(), np.concatenate(guide), J <= K)
+
+
+def _exact_paths(x, T: int, step) -> np.ndarray:
     """Rows of int64 paths x_0..x_{T-1} with x_t = step(x_{t-1}, t).
 
     ``x`` holds x_0 of each path, or is a scalar for one path, whose draws are
-    then scalars: numpy yields the same stream as for size-1 arrays, about ten
-    times faster, and a list stores scalars faster than an array row.
+    then scalars: numpy yields the same stream as for size-1 arrays, and a
+    list stores scalars faster than an array row.
     """
     count = 1 if np.ndim(x) == 0 else len(x)
     out = np.empty((count, T), dtype=np.int64)
@@ -27,20 +138,128 @@ def _paths(x, T: int, step) -> np.ndarray:
     return out
 
 
+def _inverted_path(x, T: int, rng, table: _Table, step) -> np.ndarray:
+    """One path by inversion in Python scalars, from the uniforms of the
+    one-row vectorised route, read _SCALARS at a time."""
+    K, M, cdf, guide, _ = table
+    cdf, guide = cdf.tolist(), guide.tolist()
+    x = int(x)
+    path = [x]
+    for t in range(1, T, _BLOCK):
+        block = rng.random(min(_BLOCK, T - t))
+        for i in range(0, block.size, _SCALARS):
+            for u in block[i : i + _SCALARS].tolist():
+                if x < K:
+                    base = x * M
+                    at = guide[base + int(u * M)]
+                    while cdf[at] <= u:
+                        at += 1
+                    x = at - base
+                else:
+                    x = int(step(np.array([x]))[0])
+                path.append(x)
+    return np.array([path], dtype=np.int64)
+
+
+def _inverted_paths(x: np.ndarray, T: int, rng, table: _Table, step) -> np.ndarray:
+    """Rows of paths by inversion, one vectorised step of every row at a time."""
+    K, M, cdf, guide, closed = table
+    count = len(x)
+    out = np.empty((count, T), dtype=np.int64)
+    out[:, 0] = x
+    base, cell, at = (np.empty(count, dtype=np.intp) for _ in range(3))
+    below, ahead = np.empty(count), np.empty(count, dtype=bool)
+    rows = max(1, _BLOCK // count)
+    for t in range(1, T, rows):
+        u = rng.random((min(rows, T - t), count))
+        cells = (u * M).astype(np.intp)  # floor(u*M), exact as M is a power of two
+        block = np.empty(u.shape, dtype=np.int64)
+        for r, x_next in enumerate(block):
+            beyond = None
+            if not closed and x.max() >= K:  # a state without a row takes the exact step
+                beyond = np.flatnonzero(x >= K)
+                x_beyond = x[beyond]
+                x = np.where(x >= K, 0, x)
+            np.multiply(x, M, out=base)
+            np.add(base, cells[r], out=cell)
+            # mode="clip" lets take write straight into ``out``; no index is out of range
+            np.take(guide, cell, out=at, mode="clip")
+            np.take(cdf, at, out=below, mode="clip")
+            np.less_equal(below, u[r], out=ahead)
+            while np.count_nonzero(ahead):
+                at += ahead
+                np.take(cdf, at, out=below, mode="clip")
+                np.less_equal(below, u[r], out=ahead)
+            x = np.subtract(at, base, out=x_next)
+            if beyond is not None:
+                x[beyond] = step(x_beyond)
+        out[:, t : t + len(block)] = block.T
+    return out
+
+
+def _paths(x, T: int, rng, rows, step, exact) -> np.ndarray:
+    """Rows of int64 paths x_0..x_{T-1} of a count Markov chain.
+
+    ``x`` holds x_0 of each path, or is a scalar for one path.  A step
+    inverts the transition CDF of the previous state: x_t is the least j with
+    u < F(j | x_{t-1}), for one uniform u per path and step, drawn _BLOCK at a
+    time.  ``rows(cells)`` gives the transition pmf of the states below some
+    K, or None when its table would hold more entries than the ``cells`` of
+    the path array; then ``exact(x, T)`` draws the paths with the model's
+    exact two-draw step, as earlier builds did.  A state at or above K takes
+    that step alone: ``step(x)`` for an array of such states.  One path runs
+    in Python scalars, with the stream of the one-row vectorised route.
+    """
+    pmf = rows(np.size(x) * T) if T > 1 else None
+    if pmf is None:
+        return exact(x, T)
+    table = _inversion_table(pmf)
+    if np.ndim(x) == 0:
+        return _inverted_path(x, T, rng, table, step)
+    return _inverted_paths(x, T, rng, table, step)
+
+
+def _poisson_chain(mu: float, rho: float, rng):
+    """The PoINAR(1) transition as ``_paths`` takes it: (rows, step, exact)."""
+    lam = mu * (1.0 - rho)
+
+    def exact(x, T):  # thin each count and add an innovation; all innovations at once
+        eps = rng.poisson(lam, size=(np.size(x), T - 1))
+        eps = eps[0].tolist() if np.ndim(x) == 0 else eps.T
+        return _exact_paths(x, T, lambda x, t: rng.binomial(x, rho) + eps[t - 1])
+
+    return (
+        lambda cells: _poisson_rows(mu, rho, cells),
+        lambda x: rng.binomial(x, rho) + rng.poisson(lam, size=x.shape),
+        exact,
+    )
+
+
+def _binomial_chain(n: int, pi: float, rho: float, rng):
+    """The BAR(1) transition as ``_paths`` takes it: (rows, step, exact)."""
+    alpha = pi * (1.0 - rho) + rho
+    beta = pi * (1.0 - rho)
+
+    def step(x):  # thin the count with alpha and the head room n - x with beta
+        return rng.binomial(x, alpha) + rng.binomial(n - x, beta)
+
+    return (
+        lambda cells: _binomial_rows(n, alpha, beta, cells),
+        step,
+        lambda x, T: _exact_paths(x, T, lambda x, t: step(x)),
+    )
+
+
 def _poisson_paths(mu: float, rho: float, T: int, count: int, rng) -> np.ndarray:
     """``count`` PoINAR(1) paths of length T, one per row (see simulate_poi_inar1)."""
     x = rng.poisson(mu, size=None if count == 1 else count)
-    eps = rng.poisson(mu * (1.0 - rho), size=(count, T - 1))
-    eps = eps[0].tolist() if count == 1 else eps.T
-    return _paths(x, T, lambda x, t: rng.binomial(x, rho) + eps[t - 1])
+    return _paths(x, T, rng, *_poisson_chain(mu, rho, rng))
 
 
 def _binomial_paths(n: int, pi: float, rho: float, T: int, count: int, rng) -> np.ndarray:
     """``count`` BAR(1) paths of length T, one per row (see simulate_bar1)."""
-    alpha = pi * (1.0 - rho) + rho
-    beta = pi * (1.0 - rho)
     x = rng.binomial(n, pi, size=None if count == 1 else count)
-    return _paths(x, T, lambda x, t: rng.binomial(x, alpha) + rng.binomial(n - x, beta))
+    return _paths(x, T, rng, *_binomial_chain(n, pi, rho, rng))
 
 
 def simulate_poi_inar1(spec: PoiInar1, T: int, seed: Seed) -> CountSeries:

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +20,14 @@ from countdiag import (
     simulate_markov_mask,
     simulate_poi_inar1,
 )
-from countdiag.simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
+from countdiag import simulate
+from countdiag.simulate import (
+    _binomial_paths,
+    _binomial_rows,
+    _markov_mask_from_uniforms,
+    _poisson_paths,
+    _poisson_rows,
+)
 
 from conftest import bartlett_ar1_se, batch_se, binomial_support, poisson_support
 
@@ -124,23 +133,44 @@ class TestPinnedStreams:
     """Recorded draws of fixed seeds, so that a kernel change that moves a
     stream fails here rather than only shifting Monte Carlo columns."""
 
+    # Each path pin runs a short path, below the size of its transition table,
+    # on the exact two-draw step (the draws of earlier builds), and a long one
+    # on the inversion table.
+
     def test_poi_inar1_single_path(self):
+        assert _poisson_rows(3.0, 0.5, 500) is None
         x = simulate_poi_inar1(PoiInar1(3, 0.5), 500, Seed(7)).values
         assert x[:20].tolist() == [4, 3, 5, 4, 4, 4, 1, 2, 0, 2, 3, 1, 1, 1, 1, 2, 3, 6, 7, 4]
         assert _sha256(x) == "39460d267a1d7e7e7c29d4162ba945dbe7c70df42004f271238975beb0807b78"
+        assert _poisson_rows(3.0, 0.5, 20_000) is not None
+        x = simulate_poi_inar1(PoiInar1(3, 0.5), 20_000, Seed(7)).values
+        assert x[:20].tolist() == [4, 5, 0, 3, 4, 3, 2, 2, 2, 2, 2, 3, 7, 6, 5, 8, 4, 2, 3, 1]
+        assert _sha256(x) == "8f7dec0df926f77d45f290057cf0171566c303484d1b802b4781847942f8c32e"
 
     def test_bar1_single_path(self):
+        alpha, beta = 0.3 * 0.5 + 0.5, 0.3 * 0.5
+        assert _binomial_rows(10, alpha, beta, 500) is None
         x = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(7)).values
         assert x[:20].tolist() == [3, 3, 3, 1, 2, 2, 2, 2, 5, 3, 0, 0, 2, 2, 2, 1, 2, 2, 4, 3]
         assert _sha256(x) == "a0d183bef29abb5ba6b5e95f1ee09df4bf22ca0983f41d1c71562a09d9d174ca"
+        assert _binomial_rows(10, alpha, beta, 5000) is not None
+        x = simulate_bar1(Bar1(10, 0.3, 0.5), 5000, Seed(7)).values
+        assert x[:20].tolist() == [3, 5, 5, 3, 2, 4, 0, 3, 4, 3, 2, 2, 2, 2, 2, 3, 6, 6, 5, 7]
+        assert _sha256(x) == "27fe97e8d0ce7adb8cc1c18320c6caabcb3a388c1e34e2a67e982f9696fb7a41"
 
     def test_batched_paths(self):
         x = _poisson_paths(3.0, 0.5, 200, 3, np.random.default_rng(7))
         assert x[:, :4].tolist() == [[4, 2, 5, 4], [1, 2, 2, 4], [4, 4, 0, 5]]
         assert _sha256(x) == "a371c0bf9bf5485d53e1b61365a3e9740010c511155250cf47639a44fa8b2080"
+        x = _poisson_paths(3.0, 0.5, 5000, 64, np.random.default_rng(7))  # three blocks
+        assert x[:4, :4].tolist() == [[4, 1, 6, 3], [1, 3, 1, 2], [4, 4, 4, 5], [3, 2, 4, 5]]
+        assert _sha256(x) == "e9176100b3837215a3fbc0d4218ef3a19d74cb6d16d5638974655ec97e8a165d"
         y = _binomial_paths(10, 0.3, 0.5, 200, 3, np.random.default_rng(7))
         assert y[:, :4].tolist() == [[3, 3, 2, 2], [5, 5, 5, 3], [4, 3, 3, 1]]
         assert _sha256(y) == "685f62f4e22e661d7c4c46138721d970c091f025020b8d245261ccba6a504880"
+        y = _binomial_paths(10, 0.3, 0.5, 1000, 256, np.random.default_rng(7))  # two blocks
+        assert y[:4, :4].tolist() == [[3, 1, 0, 2], [5, 5, 5, 4], [4, 4, 5, 6], [2, 2, 2, 4]]
+        assert _sha256(y) == "945836341f777d4cd95db21a045adabb08fe50da10f48b66b4ebb417b09aa078"
 
     @pytest.mark.parametrize(
         "tau, r, head, digest",
@@ -285,3 +315,224 @@ class TestApplyMask:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             apply_mask(CountSeries([2, 3, 1]), [1, 0])
+
+
+# ---------------------------------------------------------------------------
+# The inversion kernel: transition tables, routes and an independent oracle
+# ---------------------------------------------------------------------------
+
+TAIL = 2.0**-53
+
+
+def _bar1_probs(pi, rho):
+    return pi * (1.0 - rho) + rho, pi * (1.0 - rho)
+
+
+def poisson_pmf(lam, j):
+    return math.exp(-lam) * lam**j / math.factorial(j)
+
+
+def transition_pmf(model, k, j):
+    """P(X_t = j | X_{t-1} = k), summed term by term with math.comb and
+    math.exp: ("poisson", mu, rho) is Bin(k, rho) * Poi(mu(1-rho)) and
+    ("binomial", n, pi, rho) is Bin(k, alpha) * Bin(n-k, beta)."""
+    if model[0] == "poisson":
+        _, mu, rho = model
+        lam = mu * (1.0 - rho)
+        return math.fsum(
+            math.comb(k, i) * rho**i * (1.0 - rho) ** (k - i) * poisson_pmf(lam, j - i)
+            for i in range(min(j, k) + 1)
+        )
+    _, n, pi, rho = model
+    a, b = _bar1_probs(pi, rho)
+    return math.fsum(
+        math.comb(k, i) * a**i * (1.0 - a) ** (k - i)
+        * math.comb(n - k, j - i) * b ** (j - i) * (1.0 - b) ** (n - k - j + i)
+        for i in range(max(0, j - (n - k)), min(j, k) + 1)
+    )
+
+
+def upper_tail(pmf, start):
+    """sum_{j >= start} pmf(j), from terms that fall away fast beyond ``start``."""
+    return math.fsum(pmf(j) for j in range(start, start + 100))
+
+
+def oracle_paths(model, x0, u):
+    """Inversion of the independent pmf in pure Python: x_t is the least j
+    whose cumulative transition probability from x_{t-1} exceeds u."""
+    pmf = functools.cache(lambda k, j: transition_pmf(model, k, j))
+    paths = []
+    for x, column in zip(np.atleast_1d(x0).tolist(), np.atleast_2d(u.T).tolist()):
+        path = [x]
+        for v in column:
+            j, cdf = 0, pmf(x, 0)
+            while v >= cdf:
+                j += 1
+                cdf += pmf(x, j)
+            x = j
+            path.append(x)
+        paths.append(path)
+    return np.array(paths, dtype=np.int64)
+
+
+def model_kernel(model, rng):
+    """The (rows, step, exact) that the model's path function hands to _paths."""
+    if model[0] == "poisson":
+        return simulate._poisson_chain(*model[1:], rng)
+    return simulate._binomial_chain(*model[1:], rng)
+
+
+def model_rows(model):
+    """The full transition table rows of ``model``, whatever their size."""
+    return model_kernel(model, None)[0](10**12)
+
+
+class TestInversionOracle:
+    """The kernel reproduces, draw for draw, inversion over a pmf computed
+    independently, fed the same x_0 and uniforms."""
+
+    @pytest.mark.parametrize(
+        "model, T, count",
+        [
+            (("poisson", 3.0, 0.5), 2000, 8),
+            (("poisson", 3.0, 0.0), 2000, 8),
+            (("poisson", 1.5, 0.9), 2000, 8),
+            (("poisson", 3.0, 0.5), 20_000, 1),
+            (("poisson", 3.0, 0.5), 2500, 64),  # two blocks of uniforms
+            (("binomial", 10, 0.3, 0.5), 500, 4),
+            (("binomial", 25, 0.12, -0.1), 2000, 4),
+            (("binomial", 2, 0.7, -0.4), 300, 4),
+            (("binomial", 8, 0.55, 0.8), 3000, 1),
+        ],
+    )
+    def test_paths_equal_the_oracle(self, model, T, count):
+        assert model_kernel(model, None)[0](count * T) is not None  # the table route
+        size = None if count == 1 else count
+        if model[0] == "poisson":
+            got = _poisson_paths(*model[1:], T, count, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            x0 = rng.poisson(model[1], size=size)
+        else:
+            got = _binomial_paths(*model[1:], T, count, np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            x0 = rng.binomial(model[1], model[2], size=size)
+        u = rng.random(T - 1 if count == 1 else (T - 1, count))
+        assert np.array_equal(got, oracle_paths(model, x0, u))
+
+
+class TestTransitionTable:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ("poisson", 3.0, 0.0),
+            ("poisson", 3.0, 0.5),
+            ("poisson", 3.0, 0.99),
+            ("poisson", 0.2, 0.5),
+            ("binomial", 1, 0.3, 0.5),
+            ("binomial", 2, 0.3, 0.0),
+            ("binomial", 25, 0.3, -3 / 7 + 1e-9),  # alpha near 0
+            ("binomial", 25, 0.7, -3 / 7 + 1e-9),  # beta near 1
+            ("binomial", 25, 0.3, 1 - 1e-9),  # alpha near 1, beta near 0
+            ("binomial", 25, 0.12, 0.5),
+        ],
+    )
+    def test_rows_are_the_exact_pmf(self, model):
+        pmf = model_rows(model)
+        K, J = pmf.shape
+        want = np.array([[transition_pmf(model, k, j) for j in range(J)] for k in range(K)])
+        assert np.abs(pmf - want).max() < 1e-13
+        if model[0] == "binomial":  # every state, over its whole support
+            assert K == J == model[1] + 1
+            assert np.abs(pmf.sum(axis=1) - 1.0).max() < 1e-13
+            return
+        mu = model[1]
+        stationary = functools.partial(poisson_pmf, mu)
+        assert upper_tail(stationary, K) < TAIL <= upper_tail(stationary, K - 1)
+        for k in range(K):
+            assert upper_tail(functools.partial(transition_pmf, model, k), J) < TAIL
+
+    @pytest.mark.parametrize(
+        "model", [("poisson", 3.0, 0.5), ("poisson", 3.0, 0.99), ("binomial", 25, 0.3, -0.4)]
+    )
+    def test_cumulative_rows_and_guide(self, model):
+        pmf = model_rows(model)
+        K, J = pmf.shape
+        table = simulate._inversion_table(pmf)
+        M = table.M
+        assert M >= 4 * J and M & (M - 1) == 0
+        assert table.K == K and table.closed == (model[0] == "binomial")
+        cdf = table.cdf.reshape(K, M)
+        assert np.all(np.diff(cdf, axis=1) >= 0)
+        assert np.all(cdf[:, J - 1 :] == 1.0)
+        assert np.abs(np.diff(cdf[:, :J], axis=1, prepend=0.0) - pmf)[:, : J - 1].max() < 1e-13
+        # the guide cell c of row k starts at the least j with cdf[k, j] > c/M
+        start = table.guide.reshape(K, M) - M * np.arange(K)[:, None]
+        c = np.arange(M) / M
+        assert np.all(np.take_along_axis(cdf, start, axis=1) > c)
+        before = np.take_along_axis(cdf, np.maximum(start - 1, 0), axis=1)
+        assert np.all((start == 0) | (before <= c))
+
+
+def transitions_from(paths, state):
+    """The states that follow each visit of ``state`` in the rows of ``paths``."""
+    return paths[:, 1:][paths[:, :-1] == state]
+
+
+class TestKernelRoutes:
+    def test_state_beyond_the_table_takes_the_exact_step(self):
+        # a table cut to the states 0..2, so that 6 and every state above 2
+        # leave it: those steps are the exact two-draw step
+        model = ("poisson", 3.0, 0.5)
+        cut = model_rows(model)[:3]
+        rng = np.random.default_rng(17)
+        _, step, exact = model_kernel(model, rng)
+        paths = simulate._paths(np.tile([1, 6], 5000), 30, rng, lambda cells: cut, step, exact)
+        for state in (1, 6):  # through the table and through the exact step
+            after = transitions_from(paths, state)
+            assert after.size > 10_000
+            x = np.arange(40)
+            p = np.array([transition_pmf(model, state, j) for j in x])
+            assert grouped_chisquare(after, (x, p)) > 0.001
+
+    def test_no_table_at_large_mu(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_inversion_table", _fail)
+        mu, rho, T = 1e4, 0.5, 100_000
+        x = simulate_poi_inar1(PoiInar1(mu, rho), T, Seed(12)).values.astype(np.float64)
+        assert abs(x.mean() - mu) < 3 * math.sqrt(mu * (1 + rho) / (1 - rho) / T)
+        centred = (x - mu) ** 2
+        assert abs(centred.mean() - mu) < 3 * batch_se(centred)
+        assert abs(sample_acf(x, 1) - rho) < 3 * bartlett_ar1_se(rho, 1, T)
+
+    def test_length_one_builds_no_table(self, monkeypatch):
+        for name in ("_poisson_rows", "_binomial_rows", "_inversion_table"):
+            monkeypatch.setattr(simulate, name, _fail)
+        assert simulate_poi_inar1(PoiInar1(3.0, 0.5), 1, Seed(3)).T == 1
+        assert simulate_bar1(Bar1(10, 0.3, 0.5), 1, Seed(3)).T == 1
+        assert _poisson_paths(3.0, 0.5, 1, 5, np.random.default_rng(3)).shape == (5, 1)
+        assert _binomial_paths(10, 0.3, 0.5, 1, 5, np.random.default_rng(3)).shape == (5, 1)
+
+    @pytest.mark.parametrize("blocks", [None, (1000, 64)])
+    @pytest.mark.parametrize("cut", [None, 3])
+    @pytest.mark.parametrize(
+        "model, T", [(("poisson", 3.0, 0.5), 20_000), (("binomial", 10, 0.3, 0.5), 5000)]
+    )
+    def test_scalar_route_equals_batched_route(self, model, T, cut, blocks, monkeypatch):
+        # with the table cut to three states, exact draws interleave with the
+        # blocks of uniforms, and the two routes must still read one stream;
+        # small blocks put many block ends inside the path
+        if blocks is not None:
+            monkeypatch.setattr(simulate, "_BLOCK", blocks[0])
+            monkeypatch.setattr(simulate, "_SCALARS", blocks[1])
+        x0 = 4
+        got = []
+        for x in (x0, np.array([x0])):
+            rng = np.random.default_rng(23)
+            rows, step, exact = model_kernel(model, rng)
+            got.append(simulate._paths(x, T, rng, lambda cells: rows(cells)[:cut], step, exact))
+        assert np.array_equal(got[0], got[1])
+        if cut is not None:
+            assert np.count_nonzero(got[0] >= cut) > 100
+
+
+def _fail(*args):
+    raise AssertionError("no table is built on this route")
