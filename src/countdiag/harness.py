@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -277,31 +278,22 @@ class GridConfig:
                     raise ParameterError(f"mu={self.mu} incompatible with n={n}")
 
     def scenarios(self) -> list:
-        """Grid cells in stable row order: tau desc, r asc, T asc, n asc."""
-        cells = []
+        """Grid cells in stable row order: tau desc, r asc, T asc, n asc; cells
+        whose values compare equal keep the order of the axes as listed."""
         ns = self.n if self.family == "binomial" else (None,)
-        for tau in self.tau:
-            for r in self.r:
-                for T in self.T:
-                    for n in ns:
-                        cells.append((-tau, r, T, n if n is not None else 0, tau))
-        cells.sort()
-        out = []
-        for _, r, T, n, tau in cells:
-            if self.family == "poisson":
-                model = PoiInar1(self.mu, self.rho)
-            else:
-                model = Bar1(n, self.mu / n, self.rho)
-            out.append(
-                Scenario(
-                    model=model,
-                    missing=MissingSpec(tau, r),
-                    T=T,
-                    replications=self.replications,
-                    master_seed=self.master_seed,
-                )
+        cells = sorted(
+            itertools.product(self.tau, self.r, self.T, ns), key=lambda c: (-c[0], *c[1:])
+        )
+        return [
+            Scenario(
+                model=PoiInar1(self.mu, self.rho) if n is None else Bar1(n, self.mu / n, self.rho),
+                missing=MissingSpec(tau, r),
+                T=T,
+                replications=self.replications,
+                master_seed=self.master_seed,
             )
-        return out
+            for tau, r, T, n in cells
+        ]
 
 
 def grid_config_from_dict(doc: dict) -> GridConfig:
@@ -339,40 +331,41 @@ def run_grid(
     return results
 
 
+#: The grid columns of a cell, before its index columns.
+_CELL_COLUMNS = ("family", "n", "mu", "rho", "tau", "r", "T", "replications")
+#: The index column prefixes, in the order of the index-kind table.
+_PREFIXES = tuple(dict.fromkeys(spec.prefix for spec in INDEX_KINDS.values()))
+#: The grid columns of each index after its prefix: (suffix, IndexStats field).
+_STAT_COLUMNS = (
+    ("sim_mean", "sim_mean"), ("sim_sd", "sim_sd"), ("asym_mean", "asym_mean"),
+    ("asym_sd", "asym_sd"), ("failures", "n_failed"),
+)
+_GRID_COLUMNS = (
+    _CELL_COLUMNS + tuple(f"{p}_{s}" for p in _PREFIXES for s, _ in _STAT_COLUMNS) + ("error",)
+)
+#: The printed table's columns of each index: (grid column suffix, heading,
+#: where {} stands for the prefix).
+_TABLE_COLUMNS = (
+    ("sim_mean", "{} sim"), ("asym_mean", "{} asym"), ("sim_sd", "sd sim"), ("asym_sd", "sd asym")
+)
+
+
 def result_rows(results: Sequence[ScenarioResult]) -> list:
     """Flatten scenario results to one dict per scenario."""
     rows = []
     for res in results:
-        s = res.scenario
-        m = s.model
-        row = {
-            "family": m.family,
-            "n": m.n if isinstance(m, Bar1) else "",
-            "mu": m.mean,
-            "rho": m.rho,
-            "tau": s.missing.tau,
-            "r": s.missing.r,
-            "T": s.T,
-            "replications": s.replications,
-        }
+        s, m = res.scenario, res.scenario.model
+        row = dict(zip(_CELL_COLUMNS, (
+            m.family, m.n if isinstance(m, Bar1) else "", m.mean, m.rho,
+            s.missing.tau, s.missing.r, s.T, s.replications,
+        )))
         for kind, stat in res.stats.items():
             prefix = INDEX_KINDS[kind].prefix
-            row[f"{prefix}_sim_mean"] = stat.sim_mean
-            row[f"{prefix}_sim_sd"] = stat.sim_sd
-            row[f"{prefix}_asym_mean"] = stat.asym_mean
-            row[f"{prefix}_asym_sd"] = stat.asym_sd
-            row[f"{prefix}_failures"] = stat.n_failed
+            for suffix, field in _STAT_COLUMNS:
+                row[f"{prefix}_{suffix}"] = getattr(stat, field)
         row["error"] = res.error or ""
         rows.append(row)
     return rows
-
-
-_GRID_COLUMNS = [
-    "family", "n", "mu", "rho", "tau", "r", "T", "replications",
-    "disp_sim_mean", "disp_sim_sd", "disp_asym_mean", "disp_asym_sd", "disp_failures",
-    "skew_sim_mean", "skew_sim_sd", "skew_asym_mean", "skew_asym_sd", "skew_failures",
-    "error",
-]
 
 
 def write_grid_csv(results: Sequence[ScenarioResult], path) -> None:
@@ -386,25 +379,21 @@ def write_grid_csv(results: Sequence[ScenarioResult], path) -> None:
 
 def format_grid_table(results: Sequence[ScenarioResult]) -> str:
     """Render grid results as a plain-text table with 3-decimal entries."""
-    rows = result_rows(results)
-    head = ["tau", "r", "T", "n", "disp sim", "disp asym", "sd sim", "sd asym",
-            "skew sim", "skew asym", "sd sim", "sd asym", "fail"]
-    lines = ["  ".join(f"{h:>9}" for h in head)]
-    for row in rows:
-        fails = max(
-            int(row.get("disp_failures") or 0), int(row.get("skew_failures") or 0)
-        )
+    columns = [f"{p}_{s}" for p in _PREFIXES for s, _ in _TABLE_COLUMNS]
+    head = ["tau", "r", "T", "n"] + [h.format(p) for p in _PREFIXES for _, h in _TABLE_COLUMNS]
+    lines = ["  ".join(f"{h:>9}" for h in head + ["fail"])]
+    for row in result_rows(results):
+        fails = max(int(row.get(f"{p}_failures") or 0) for p in _PREFIXES)
         cells = [
             f"{row['tau']:.2f}", f"{row['r']:.2f}", str(row["T"]), str(row["n"]),
         ] + [
-            "" if row.get(c) is None or row.get(c) == "" else f"{row[c]:.3f}"
-            for c in (
-                "disp_sim_mean", "disp_asym_mean", "disp_sim_sd", "disp_asym_sd",
-                "skew_sim_mean", "skew_asym_mean", "skew_sim_sd", "skew_asym_sd",
-            )
+            "" if row.get(c) is None or row.get(c) == "" else f"{row[c]:.3f}" for c in columns
         ] + [str(fails)]
         lines.append("  ".join(f"{c:>9}" for c in cells))
     return "\n".join(lines)
+
+
+_CURVE_COLUMNS = ("index", "tau", "r", "mu", "n", "t_variance", "t_bias")
 
 
 def emit_curves(
@@ -433,25 +422,15 @@ def emit_curves(
     for r in r_values:
         for tau in taus:
             asym = spec.markov(marginal, rho, float(tau), float(r), 1)
-            rows.append(
-                {
-                    "index": kind,
-                    "tau": float(tau),
-                    "r": float(r),
-                    "mu": mu,
-                    "n": "" if n is None else n,
-                    "t_variance": asym.variance,
-                    "t_bias": asym.bias,
-                }
-            )
+            rows.append(dict(zip(_CURVE_COLUMNS, (
+                kind, float(tau), float(r), mu, "" if n is None else n, asym.variance, asym.bias
+            ))))
     return rows
 
 
 def write_curves_csv(rows: Sequence[dict], path) -> None:
     with open_text(path, "w") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["index", "tau", "r", "mu", "n", "t_variance", "t_bias"]
-        )
+        writer = csv.DictWriter(f, fieldnames=_CURVE_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -538,11 +517,7 @@ def _read_plain_counts(path) -> Optional[CountSeries]:
         starts = starts[:-1]
     if starts.size == 0:
         return None
-    first = data[: ends[0]]
-    header = not (first.isdigit() and len(first) <= _PLAIN_DIGITS or first in (b"", b"NA"))
-    if header and not _is_header(_last_csv_field(first)):
-        return None
-    skip = int(header)
+    skip = int(_is_header(_last_csv_field(data[: ends[0]])))
     starts, ends, crlf = starts[skip:], ends[skip:], crlf[skip:]
     if starts.size == 0:
         return None

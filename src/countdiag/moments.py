@@ -9,7 +9,7 @@ from math import comb, factorial, perm, prod
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import CountSeries, _check
+from .series import _NONE_OBSERVED, CountSeries, _check
 
 def falling_factorial(x: int, k: int) -> int:
     """x_(k) = x*(x-1)*...*(x-k+1), with x_(0) = 1 and zero whenever k > x >= 0.
@@ -137,9 +137,6 @@ def factorial_moments(values, mask, m: int, ends=None) -> np.ndarray:
     first = np.argmax(observed)
     counts = np.where(observed, values, values.flat[first] if observed.flat[first] else 0)
     return Tally(counts, ends).moments(mask, m)
-
-
-_NONE_OBSERVED = "series has no observed positions"
 
 
 def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:

@@ -9,10 +9,12 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DegenerateSeriesError, ParameterError
 
 #: Value stored at unobserved positions.  No estimator ever reads it.
 MASK_SENTINEL = 0
+
+_NONE_OBSERVED = "series has no observed positions"
 
 #: The domain of every parameter, keyed by the name that messages print: a
 #: (test, wording) pair for a finite real number, None for any finite real
@@ -131,7 +133,10 @@ class CountSeries:
 
     def compact(self) -> "CountSeries":
         """Drop unobserved positions, returning a shorter fully observed series."""
-        return CountSeries(self.observed_values())
+        observed = self.observed_values()
+        if observed.size == 0:
+            raise DegenerateSeriesError(_NONE_OBSERVED)
+        return CountSeries(observed)
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,7 @@ class Bar1:
     The dependence parameter must satisfy
     ``max(-pi/(1-pi), -(1-pi)/pi) < rho < 1`` so that both thinning
     probabilities ``beta = pi*(1-rho)`` and ``alpha = beta + rho`` lie in (0, 1).
+    A rho at which their float values round out of [0, 1] is rejected too.
     """
 
     n: int
@@ -181,6 +187,12 @@ class Bar1:
                 f"rho={self.rho} outside the admissible interval ({lo:.6g}, 1) "
                 f"for pi={self.pi}"
             )
+        alpha, beta = _thinnings(self.pi, self.rho)
+        if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+            raise ParameterError(
+                f"rho={self.rho} rounds the thinning probabilities alpha={alpha:.6g} and "
+                f"beta={beta:.6g} out of [0, 1] for pi={self.pi}"
+            )
 
     @property
     def mean(self) -> float:
@@ -189,6 +201,12 @@ class Bar1:
     @property
     def marginal(self) -> tuple:
         return (self.n, self.pi)
+
+
+def _thinnings(pi: float, rho: float) -> tuple:
+    """BAR(1)'s thinning probabilities (alpha, beta) = (beta + rho, pi*(1-rho))."""
+    beta = pi * (1.0 - rho)
+    return beta + rho, beta
 
 
 ModelSpec = Union[PoiInar1, Bar1]

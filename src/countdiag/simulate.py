@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .series import Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check
+from .series import Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check, _thinnings
 
 
 #: Probability mass a transition table may leave out: the spacing of
@@ -237,8 +237,7 @@ def _poisson_chain(mu: float, rho: float, rng):
 
 def _binomial_chain(n: int, pi: float, rho: float, rng):
     """The BAR(1) transition as ``_paths`` takes it: (rows, step, exact)."""
-    alpha = pi * (1.0 - rho) + rho
-    beta = pi * (1.0 - rho)
+    alpha, beta = _thinnings(pi, rho)
 
     def step(x):  # thin the count with alpha and the head room n - x with beta
         return rng.binomial(x, alpha) + rng.binomial(n - x, beta)

@@ -61,6 +61,12 @@ class TestSimulateCommand:
                 ["--model", "binomial", "--n", "10", "--pi", "0.3", "--mu", "7"],
                 "--mu is only valid for the poisson model",
             ),
+            (
+                ["--model", "binomial", "--n", "10", "--pi", "0.056153288322080525",
+                 "--rho", "-0.05949407634450964"],
+                "rho=-0.05949407634450964 rounds the thinning probabilities alpha=-6.93889e-18 "
+                "and beta=0.0594941 out of [0, 1] for pi=0.056153288322080525",
+            ),
         ],
     )
     def test_flag_out_of_range_or_not_applicable_is_error(self, tmp_path, capsys, flags, message):
@@ -156,6 +162,14 @@ class TestDiagnoseCommand:
         (report,) = json.loads(payload.read_text())
         assert report["fitted"]["tau"] == 1.0
         assert report["fitted"]["T"] == load_series_csv(series_file).n_observed
+
+    @pytest.mark.parametrize("flags", [[], ["--ignore-missing"]])
+    def test_unobserved_series_is_error(self, tmp_path, capsys, flags):
+        series = tmp_path / "na.csv"
+        series.write_text("x\nNA\nNA\nNA\n")
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: series has no observed positions\n"
 
     def test_missing_n_is_error(self, series_file, capsys):
         rc = main(["diagnose", "--input", str(series_file), "--null", "binomial"])

@@ -502,6 +502,12 @@ class TestTestIndex:
         clamps = [w for w in caught if "clamped to 0" in str(w.message)]
         assert len(clamps) == 1 and "rho = -0.9950" in str(clamps[0].message)
 
+    @pytest.mark.parametrize("ignore", [False, True])
+    def test_unobserved_series_is_degenerate(self, ignore):
+        null = NullSpec("poisson", ignore_missing=ignore)
+        with pytest.raises(DegenerateSeriesError, match="^series has no observed positions$"):
+            run_test_indices(CountSeries([3, 4, 5], [0, 0, 0]), null, ("dispersion", "skewness"))
+
 
 class TestNullSpec:
     def test_binomial_requires_n(self):

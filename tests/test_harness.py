@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -26,7 +27,14 @@ from countdiag import (
     write_grid_csv,
     write_series_csv,
 )
-from countdiag.harness import _read_csv_rows, _read_plain_counts, format_grid_table, result_rows
+from countdiag.harness import (
+    IndexStats,
+    ScenarioResult,
+    _read_csv_rows,
+    _read_plain_counts,
+    format_grid_table,
+    result_rows,
+)
 from countdiag import poi_dispersion_asym_markov, skew_asym_binomial_markov
 
 
@@ -116,6 +124,28 @@ class TestRunGrid:
         ]
         assert keys == sorted(keys)
 
+    def test_order_of_unsorted_and_repeated_axes(self):
+        # tau descending, then r, T and n ascending; equal cells are adjacent
+        config = GridConfig(
+            "binomial", n=(25, 10, 25), tau=(0.6, 1.0, 0.6), r=(0.3, 0.0, 0.3),
+            T=(100, 50, 100), replications=1,
+        )
+        keys = [(s.missing.tau, s.missing.r, s.T, s.model.n) for s in config.scenarios()]
+        assert [(*key, len(list(run))) for key, run in itertools.groupby(keys)] == [
+            (1.0, 0.0, 50, 10, 1), (1.0, 0.0, 50, 25, 2), (1.0, 0.0, 100, 10, 2),
+            (1.0, 0.0, 100, 25, 4), (1.0, 0.3, 50, 10, 2), (1.0, 0.3, 50, 25, 4),
+            (1.0, 0.3, 100, 10, 4), (1.0, 0.3, 100, 25, 8), (0.6, 0.0, 50, 10, 2),
+            (0.6, 0.0, 50, 25, 4), (0.6, 0.0, 100, 10, 4), (0.6, 0.0, 100, 25, 8),
+            (0.6, 0.3, 50, 10, 4), (0.6, 0.3, 50, 25, 8), (0.6, 0.3, 100, 10, 8),
+            (0.6, 0.3, 100, 25, 16),
+        ]
+        # values that compare equal but print apart keep their listed order
+        config = GridConfig("poisson", tau=(0.8,), r=(0.0, -0.0), T=(60, 40), replications=1)
+        assert [s.key() for s in config.scenarios()] == [
+            f"poi(mu=3.0,rho=0.5)|mask(tau=0.8,r={r})|T={T}|R=1"
+            for T, r in [(40, "0.0"), (40, "-0.0"), (60, "0.0"), (60, "-0.0")]
+        ]
+
     def test_binomial_grid_carries_both_bounds(self):
         config = GridConfig("binomial", replications=1, n=(10, 25))
         scenarios = config.scenarios()
@@ -168,6 +198,35 @@ class TestRunGrid:
         assert header.startswith("family,n,mu,rho,tau,r,T,replications")
         table = format_grid_table(results)
         assert "disp sim" in table and len(table.splitlines()) == 2
+
+    def test_layout_of_fixed_results(self, tmp_path):
+        # every column of the grid CSV and of the printed table, for a cell and an error row
+        cell = Scenario(Bar1(10, 0.3, 0.5), MissingSpec(0.8, 0.3), T=100, replications=50,
+                        master_seed=1)
+        stats = {
+            "binomial-dispersion": IndexStats(0.875, 0.25, 0.9, 0.3125, 48, 2),
+            "binomial-skewness": IndexStats(0.9375, 0.125, 0.95, 0.1875, 47, 3),
+        }
+        results = [
+            ScenarioResult(cell, stats),
+            ScenarioResult(cell, {}, error="all 50 replications degenerate"),
+        ]
+        out = tmp_path / "grid.csv"
+        write_grid_csv(results, out)
+        assert out.read_text().splitlines() == [
+            "family,n,mu,rho,tau,r,T,replications,"
+            "disp_sim_mean,disp_sim_sd,disp_asym_mean,disp_asym_sd,disp_failures,"
+            "skew_sim_mean,skew_sim_sd,skew_asym_mean,skew_asym_sd,skew_failures,error",
+            "binomial,10,3.0,0.5,0.8,0.3,100,50,0.875,0.25,0.9,0.3125,2,0.9375,0.125,0.95,0.1875,3,",
+            "binomial,10,3.0,0.5,0.8,0.3,100,50,,,,,,,,,,,all 50 replications degenerate",
+        ]
+        assert format_grid_table(results).splitlines() == [
+            "      tau          r          T          n   disp sim  disp asym     sd sim"
+            "    sd asym   skew sim  skew asym     sd sim    sd asym       fail",
+            "     0.80       0.30        100         10      0.875      0.900      0.250"
+            "      0.312      0.938      0.950      0.125      0.188          3",
+            "     0.80       0.30        100         10" + " " * 88 + "          0",
+        ]
 
 
 class TestGridStreams:

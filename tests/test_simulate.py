@@ -124,6 +124,28 @@ class TestBar1Simulator:
         b = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(99, 3))
         assert np.array_equal(a.values, b.values)
 
+    def test_thinnings_rounded_out_of_the_unit_interval_rejected(self):
+        # one ulp inside the admissible bound, alpha = pi*(1-rho) + rho rounds below 0
+        with pytest.raises(ParameterError, match=r"^rho=-0\.05949407634450964 rounds the thinning"):
+            Bar1(10, 0.056153288322080525, -0.05949407634450964)
+
+    def test_rho_one_ulp_inside_the_bound(self):
+        # each model is either rejected or simulated on both routes of the kernel
+        assert _binomial_rows(10, 0.5, 0.5, 50) is None
+        assert _binomial_rows(10, 0.5, 0.5, 20_000) is not None
+        rejected = 0
+        for pi in [0.056153288322080525, *np.random.default_rng(5).random(300).tolist()]:
+            rho = math.nextafter(max(-pi / (1.0 - pi), -(1.0 - pi) / pi), 1.0)
+            try:
+                spec = Bar1(10, pi, rho)
+            except ParameterError:
+                rejected += 1
+                continue
+            for T in (50, 20_000):
+                x = simulate_bar1(spec, T, Seed(1)).values
+                assert x.min() >= 0 and x.max() <= 10
+        assert 1 <= rejected < 30
+
 
 def _sha256(values):
     return hashlib.sha256(np.asarray(values, dtype="<i8").tobytes()).hexdigest()
