@@ -22,12 +22,6 @@ from .moments import (
     BinomialArMoments,
     PoissonArMoments,
     RawMoments,
-    bbin_mixed_factorial,
-    binomial_factorial_moment,
-    bpoi_mixed_factorial,
-    falling_factorial,
-    lag0_mixed_factorial,
-    poisson_factorial_moment,
     sample_factorial_moments,
     stirling2,
 )
@@ -38,7 +32,6 @@ from .missingness import (
     dr_autocovariance,
     durbin_levinson_pacf,
     estimate_r,
-    estimate_tau,
 )
 from .asymptotics import (
     IndexAsymptotics,

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DegenerateSeriesError, ParameterError
 from .series import CountSeries, _check
 from .moments import _observed_mean, sample_factorial_moments
-from .missingness import _two_sided_z, dr_acf, estimate_r, estimate_tau
+from .missingness import _two_sided_z, dr_acf, estimate_r
 from .asymptotics import (
     bin_dispersion_asym_markov,
     poi_dispersion_asym_markov,
@@ -247,8 +247,8 @@ def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParam
     if series.T < 2:
         raise DegenerateSeriesError(f"series too short to fit: T={series.T}, need T >= 2")
     mu = _observed_mean(series)
-    tau = estimate_tau(series.mask)
     acf = dr_acf(series, 1)
+    tau = float(acf.tau_lag[0])
     if acf.tau_lag[1] == 0.0:
         raise DegenerateSeriesError(
             "rho cannot be estimated: no two adjacent positions are both observed "

@@ -59,16 +59,22 @@ class Scenario:
         )
 
 
+def _value(v) -> str:
+    """A real parameter as keys spell it: by its float value, so that equal
+    values (``1`` and ``1.0``, ``0.0`` and ``-0.0``) key one stream."""
+    return repr(float(v) + 0.0)
+
+
 def _model_key(m: ModelSpec) -> str:
     """The spelling of a model in cell keys and path-stream seeds."""
     if isinstance(m, PoiInar1):
-        return f"poi(mu={m.mu!r},rho={m.rho!r})"
-    return f"bar(n={m.n},pi={m.pi!r},rho={m.rho!r})"
+        return f"poi(mu={_value(m.mu)},rho={_value(m.rho)})"
+    return f"bar(n={m.n},pi={_value(m.pi)},rho={_value(m.rho)})"
 
 
 def _law_key(missing: MissingSpec) -> str:
     """The spelling of a mask law in cell keys and mask-stream seeds."""
-    return f"mask(tau={missing.tau!r},r={missing.r!r})"
+    return f"mask(tau={_value(missing.tau)},r={_value(missing.r)})"
 
 
 @dataclass(frozen=True)
@@ -270,8 +276,10 @@ class GridConfig:
             values = getattr(self, key)
             if len(values) == 0:
                 raise ParameterError(f"{key} must list at least one value")
-            for value in values:
+            for i, value in enumerate(values):
                 _check(key, value)
+                if value in values[:i]:  # one cell, one stream: 1 == 1.0 and 0.0 == -0.0
+                    raise ParameterError(f"{key} must list each value once, got {value} again")
         if self.family == "binomial":
             for n in self.n:
                 if not 0.0 < self.mu / n < 1.0:

@@ -45,14 +45,6 @@ def _two_sided_z(alpha: float) -> float:
     return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
-def estimate_tau(mask) -> float:
-    """Fraction of observed positions in a binary mask."""
-    m = np.asarray(mask, dtype=np.float64)
-    if m.size == 0:
-        raise ParameterError("mask must contain at least one element")
-    return float(m.mean())
-
-
 def estimate_r(mask) -> float:
     """Lag-1 sample autocorrelation of a binary mask.
 

@@ -1,8 +1,9 @@
-"""Falling factorials, sample factorial moments under an observation mask, and
-closed-form model moments (univariate, joint, raw) for the two count families."""
+"""Sample factorial moments under an observation mask, and closed-form model
+moments (univariate, joint, raw) for the two count families."""
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 
@@ -10,15 +11,6 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
 from .series import _NONE_OBSERVED, CountSeries, _check
-
-def falling_factorial(x: int, k: int) -> int:
-    """x_(k) = x*(x-1)*...*(x-k+1), with x_(0) = 1 and zero whenever k > x >= 0.
-
-    Computed in exact (arbitrary precision) integer arithmetic; the moment
-    kernel evaluates arrays in float64 through :func:`_falling`.
-    """
-    _check("k", k, "order")
-    return perm(_check("x", x, "count"), k)
 
 
 class Tally:
@@ -112,7 +104,7 @@ class Tally:
 
 def _falling(x, m: int):
     """x_(1), ..., x_(m) of the entries of x in float64, by the products
-    x (x-1) ... of :func:`falling_factorial`."""
+    x_(k) = x (x-1) ... (x-k+1)."""
     x = fk = np.asarray(x, dtype=np.float64)
     yield fk
     for k in range(1, m):
@@ -164,60 +156,10 @@ def _observed_mean(series: CountSeries) -> float:
     return float(observed.sum(dtype=np.float64)) / observed.size
 
 
-def poisson_factorial_moment(mu: float, k: int) -> float:
-    """k-th factorial moment of Poi(mu): mu**k."""
-    _check("mu", mu)
-    return float(mu) ** _check("k", k, "order")
-
-
-def binomial_factorial_moment(n: int, pi: float, k: int) -> float:
-    """k-th factorial moment of Bin(n, pi): n_(k) * pi**k (zero for k > n)."""
-    _check("n", n)
-    _check("pi", pi)
-    return falling_factorial(n, k) * float(pi) ** k
-
-
 def _product_coefficient(k: int, s: int, i: int) -> int:
     """C(k, i) C(s, i) i!, the weight of x_(k+s-i) in x_(k) x_(s) = sum_i
     C(k, i) C(s, i) i! x_(k+s-i)."""
     return comb(k, i) * comb(s, i) * factorial(i)
-
-
-def bpoi_mixed_factorial(mu: float, rho: float, h: int, k: int, s: int) -> float:
-    """Joint factorial moment E[(X_t)_(k) (X_{t-h})_(s)] for the Poisson AR family.
-
-    Evaluates mu_(k)*mu_(s) * sum_i C(k,i) C(s,i) i! (rho**h / mu)**i, the
-    closed form for a bivariate-Poisson pair with common-component intensity
-    rho**h * mu.  Symmetric in (k, s).
-    """
-    return PoissonArMoments(mu, rho).mixed(k, s, _check("h", h, "lag"))
-
-
-def bbin_mixed_factorial(n: int, pi: float, rho: float, h: int, k: int, s: int) -> float:
-    """Joint factorial moment E[(X_t)_(k) (X_{t-h})_(s)] for the binomial AR family.
-
-    Evaluates n_(k) n_(s) pi**(k+s) * sum_i [C(k,i) C(n-k,s-i) / C(n,s)] *
-    (1 + rho**h (1-pi)/pi)**i, the bivariate-binomial closed form.  Symmetric
-    in (k, s); zero when either order exceeds n.
-    """
-    return BinomialArMoments(n, pi, rho).mixed(k, s, _check("h", h, "lag"))
-
-
-def lag0_mixed_factorial(univariate, k: int, s: int) -> float:
-    """Lag-zero joint factorial moment E[(X_t)_(k) (X_t)_(s)].
-
-    ``univariate`` supplies mu_(1), mu_(2), ... as a sequence; orders up to
-    k + s must be present.  Expands the product through the falling-factorial
-    identity x_(k) x_(s) = sum_i C(k, i) C(s, i) i! x_(k+s-i).
-    """
-    _check("k", k, "order")
-    _check("s", s, "order")
-    if k + s > len(univariate):
-        raise ParameterError(
-            f"univariate moments up to order {k + s} required, got {len(univariate)}"
-        )
-    u = [1.0] + [float(v) for v in univariate]
-    return sum(_product_coefficient(k, s, i) * u[k + s - i] for i in range(min(k, s) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -233,18 +175,21 @@ def stirling2(j: int, k: int) -> int:
 
 
 class _ArMoments:
-    """The joint moments of an AR(1) oracle: lag zero from the univariate
-    moments, other lags from the family's ``_lagged(k, s, h)``, h >= 1 and
-    both orders >= 1.  The parameters are checked once, by the constructor."""
+    """The joint moments of an AR(1) oracle: lag zero from ``univariate`` by
+    the identity of :func:`_product_coefficient`, other lags from the
+    family's ``_lagged(k, s, h)``, h >= 1 and both orders >= 1.  Parameters
+    are checked once, by the constructor."""
 
     def mixed(self, k: int, s: int, h: int) -> float:
         _check("k", k, "order")
         _check("s", s, "order")
+        if not (type(h) is int or isinstance(h, numbers.Integral) and not isinstance(h, bool)):
+            raise ParameterError(f"h must be an integer, got {h!r}")
         if h < 0:
             k, s, h = s, k, -h
         if h == 0:
-            uni = [self.univariate(j) for j in range(1, 7)]
-            return lag0_mixed_factorial(uni, k, s)
+            u = self.univariate
+            return sum(_product_coefficient(k, s, i) * u(k + s - i) for i in range(min(k, s) + 1))
         if k == 0 or s == 0:
             return self.univariate(k + s)
         return self._lagged(k, s, h)
@@ -258,10 +203,13 @@ class PoissonArMoments(_ArMoments):
         self.rho = float(_check("rho", rho))
 
     def univariate(self, k: int) -> float:
-        return 1.0 if k == 0 else poisson_factorial_moment(self.mu, k)
+        """mu_(k) = mu**k."""
+        return self.mu ** _check("k", k, "order")
 
     def _lagged(self, k: int, s: int, h: int) -> float:
-        """The closed form of :func:`bpoi_mixed_factorial`."""
+        """mu_(k) mu_(s) sum_i C(k, i) C(s, i) i! (rho**h / mu)**i, the
+        bivariate-Poisson closed form with common-component intensity
+        rho**h mu."""
         mu = self.mu
         ratio = self.rho**h / mu
         total = 0.0
@@ -279,10 +227,13 @@ class BinomialArMoments(_ArMoments):
         self.rho = float(_check("rho", rho))
 
     def univariate(self, k: int) -> float:
-        return 1.0 if k == 0 else binomial_factorial_moment(self.n, self.pi, k)
+        """mu_(k) = n_(k) pi**k, zero for k > n."""
+        return perm(self.n, _check("k", k, "order")) * self.pi**k
 
     def _lagged(self, k: int, s: int, h: int) -> float:
-        """The closed form of :func:`bbin_mixed_factorial`."""
+        """n_(k) n_(s) pi**(k+s) sum_i [C(k, i) C(n-k, s-i) / C(n, s)]
+        (1 + rho**h (1-pi)/pi)**i, the bivariate-binomial closed form; zero
+        when either order exceeds n."""
         n, pi = self.n, self.pi
         if k > n or s > n:
             return 0.0

@@ -34,7 +34,6 @@ _DOMAINS = {
     "master_seed": 0,
     "lag": 1,
     "order": 0,
-    "count": 0,
 }
 
 

@@ -22,15 +22,10 @@ from countdiag import (
     Seed,
     bin_dispersion_asym_general,
     bin_dispersion_asym_markov,
-    binomial_factorial_moment,
-    bbin_mixed_factorial,
-    bpoi_mixed_factorial,
     clt_sigma_general,
     durbin_levinson_pacf,
-    lag0_mixed_factorial,
     poi_dispersion_asym_general,
     poi_dispersion_asym_markov,
-    poisson_factorial_moment,
     raw_poi_dispersion_asym,
     run_grid,
     sigma_binomial_markov,
@@ -298,7 +293,7 @@ def test_criterion_5_property_suites():
             worst = max(
                 worst,
                 relgap(
-                    bpoi_mixed_factorial(3.0, 0.5, h, k, s),
+                    PoissonArMoments(3.0, 0.5).mixed(k, s, h),
                     poisson_lag_closed_form(3.0, 0.5, h, k, s),
                 ),
             )
@@ -306,7 +301,7 @@ def test_criterion_5_property_suites():
                 worst = max(
                     worst,
                     relgap(
-                        bbin_mixed_factorial(n, 3.0 / n, 0.5, h, k, s),
+                        BinomialArMoments(n, 3.0 / n, 0.5).mixed(k, s, h),
                         binomial_lag_closed_form(n, 3.0 / n, 0.5, h, k, s),
                     ),
                 )
@@ -315,18 +310,15 @@ def test_criterion_5_property_suites():
 
     # (b) lag-zero identities against the brute-force pmf oracle, 1e-9
     worst = 0.0
-    for support, uni in (
-        (poisson_support(3.0), [poisson_factorial_moment(3.0, j) for j in range(1, 7)]),
-        (
-            binomial_support(10, 0.3),
-            [binomial_factorial_moment(10, 0.3, j) for j in range(1, 7)],
-        ),
+    for support, oracle in (
+        (poisson_support(3.0), PoissonArMoments(3.0, 0.5)),
+        (binomial_support(10, 0.3), BinomialArMoments(10, 0.3, 0.5)),
     ):
         for k, s in PAIRS:
             brute = brute_force_moment(
                 lambda x: falling_array(x, k) * falling_array(x, s), support
             )
-            worst = max(worst, relgap(lag0_mixed_factorial(uni, k, s), brute))
+            worst = max(worst, relgap(oracle.mixed(k, s, 0), brute))
     assert worst <= 1e-9
     details.append(f"lag-0 identities {worst:.1e}")
 

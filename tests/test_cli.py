@@ -348,6 +348,9 @@ class TestMcCommand:
             ({"family": "binomial", "n": [False]}, "n must be an integer >= 2, got False"),
             ({"family": "binomial", "rho": -0.2}, "rho must lie in [0, 1), got -0.2"),
             ({"rho": 1.0}, "rho must lie in [0, 1), got 1.0"),
+            ({"tau": [0.8, 0.8]}, "tau must list each value once, got 0.8 again"),
+            ({"r": [0, 0.0]}, "r must list each value once, got 0.0 again"),
+            ({"family": "binomial", "n": [10, 25, 10]}, "n must list each value once, got 10 again"),
         ],
     )
     def test_malformed_config_is_error(self, tmp_path, capsys, override, message):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import math
 import re
@@ -125,26 +124,36 @@ class TestRunGrid:
         assert keys == sorted(keys)
 
     def test_order_of_unsorted_and_repeated_axes(self):
-        # tau descending, then r, T and n ascending; equal cells are adjacent
+        # tau descending, then r, T and n ascending, whatever order the axes list
         config = GridConfig(
-            "binomial", n=(25, 10, 25), tau=(0.6, 1.0, 0.6), r=(0.3, 0.0, 0.3),
-            T=(100, 50, 100), replications=1,
+            "binomial", n=(25, 10), tau=(0.6, 1.0, 0.8), r=(0.3, 0.0), T=(100, 50),
+            replications=1,
         )
         keys = [(s.missing.tau, s.missing.r, s.T, s.model.n) for s in config.scenarios()]
-        assert [(*key, len(list(run))) for key, run in itertools.groupby(keys)] == [
-            (1.0, 0.0, 50, 10, 1), (1.0, 0.0, 50, 25, 2), (1.0, 0.0, 100, 10, 2),
-            (1.0, 0.0, 100, 25, 4), (1.0, 0.3, 50, 10, 2), (1.0, 0.3, 50, 25, 4),
-            (1.0, 0.3, 100, 10, 4), (1.0, 0.3, 100, 25, 8), (0.6, 0.0, 50, 10, 2),
-            (0.6, 0.0, 50, 25, 4), (0.6, 0.0, 100, 10, 4), (0.6, 0.0, 100, 25, 8),
-            (0.6, 0.3, 50, 10, 4), (0.6, 0.3, 50, 25, 8), (0.6, 0.3, 100, 10, 8),
-            (0.6, 0.3, 100, 25, 16),
+        assert keys == [
+            (tau, r, T, n)
+            for tau in (1.0, 0.8, 0.6) for r in (0.0, 0.3) for T in (50, 100) for n in (10, 25)
         ]
-        # values that compare equal but print apart keep their listed order
-        config = GridConfig("poisson", tau=(0.8,), r=(0.0, -0.0), T=(60, 40), replications=1)
-        assert [s.key() for s in config.scenarios()] == [
-            f"poi(mu=3.0,rho=0.5)|mask(tau=0.8,r={r})|T={T}|R=1"
-            for T, r in [(40, "0.0"), (40, "-0.0"), (60, "0.0"), (60, "-0.0")]
-        ]
+        # an axis value listed twice, in any spelling, would be one cell twice
+        for key, values, again in [
+            ("tau", (0.6, 1.0, 0.6), "0.6"), ("tau", (1, 1.0), "1.0"),
+            ("r", (0.0, -0.0), "-0.0"), ("r", (0.3, 0.0, 0.3), "0.3"),
+            ("T", (100, 50, 100), "100"), ("n", (25, 10, np.int64(25)), "25"),
+        ]:
+            with pytest.raises(
+                ParameterError, match=f"^{key} must list each value once, got {again} again$"
+            ):
+                GridConfig("binomial", replications=1, **{key: values})
+
+    def test_equal_values_key_one_stream(self):
+        # 0, 0.0 and -0.0 are one mask law, so they draw one stream
+        stats = []
+        for r in (0, 0.0, -0.0, np.float64(0.0)):
+            doc = {"family": "poisson", "tau": 0.8, "r": r, "T": 50, "replications": 64}
+            (result,) = run_grid(grid_config_from_dict(doc))
+            assert result.scenario.key() == "poi(mu=3.0,rho=0.5)|mask(tau=0.8,r=0.0)|T=50|R=64"
+            stats.append(result.stats)
+        assert all(s == stats[0] for s in stats[1:])
 
     def test_binomial_grid_carries_both_bounds(self):
         config = GridConfig("binomial", replications=1, n=(10, 25))

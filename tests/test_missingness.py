@@ -23,7 +23,7 @@ from countdiag import (
     dr_autocovariance,
     durbin_levinson_pacf,
     estimate_r,
-    estimate_tau,
+    fit_null_params,
     simulate_markov_mask,
     simulate_poi_inar1,
 )
@@ -32,17 +32,20 @@ from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 
 class TestEstimateTau:
+    """tau is the observed fraction, tau_lag[0] of the missing-data ACF."""
+
     def test_all_ones(self):
-        assert estimate_tau([1, 1, 1, 1]) == 1.0
+        assert dr_acf(CountSeries([1, 2, 3, 4]), 1).tau_lag[0] == 1.0
 
     def test_half(self):
-        assert estimate_tau([1, 0, 1, 0]) == 0.5
+        assert dr_acf(CountSeries([1, 2, 3, 4], [1, 0, 1, 0]), 1).tau_lag[0] == 0.5
 
     def test_small_missing_fraction(self):
         # 19 hidden out of 225 observations
         mask = np.ones(225, dtype=int)
         mask[:19] = 0
-        assert estimate_tau(mask) == pytest.approx(0.916, abs=5e-4)
+        values = np.arange(225) % 7
+        assert fit_null_params(CountSeries(values, mask)).tau == pytest.approx(0.916, abs=5e-4)
 
 
 class TestEstimateR:

@@ -14,12 +14,6 @@ from countdiag import (
     PoissonArMoments,
     RawMoments,
     Seed,
-    bbin_mixed_factorial,
-    binomial_factorial_moment,
-    bpoi_mixed_factorial,
-    falling_factorial,
-    lag0_mixed_factorial,
-    poisson_factorial_moment,
     sample_factorial_moments,
     stirling2,
 )
@@ -37,6 +31,7 @@ from conftest import (
 )
 
 PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+POI, BIN = PoissonArMoments(3.0, 0.5), BinomialArMoments(10, 0.3, 0.5)
 
 
 def reference_factorial_moments(values, mask, m, ends=None):
@@ -62,28 +57,6 @@ def reference_factorial_moments(values, mask, m, ends=None):
             fk = fk * (x - k) if k else x
             muhat[k] = total(fk) / n_obs
     return muhat
-
-
-class TestFallingFactorial:
-    @pytest.mark.parametrize("x,k,expected", [(5, 2, 20), (3, 0, 1), (2, 3, 0), (0, 0, 1)])
-    def test_values(self, x, k, expected):
-        assert falling_factorial(x, k) == expected
-
-    def test_exact_for_large_arguments(self):
-        # stays exact well beyond 64-bit intermediate products
-        import math
-
-        assert falling_factorial(64, 20) == math.factorial(64) // math.factorial(44)
-
-    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=6))
-    def test_recurrence(self, x, k):
-        assert falling_factorial(x, k + 1) == falling_factorial(x, k) * (x - k)
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            falling_factorial(3, -1)
-        with pytest.raises(ParameterError):
-            falling_factorial(-2, 2)
 
 
 class TestSampleFactorialMoments:
@@ -300,52 +273,52 @@ class TestObservedMean:
 class TestMarginalFactorialMoments:
     @pytest.mark.parametrize("mu,k,expected", [(3, 2, 9), (3, 0, 1), (2.5, 3, 15.625)])
     def test_poisson(self, mu, k, expected):
-        assert poisson_factorial_moment(mu, k) == pytest.approx(expected)
+        assert PoissonArMoments(mu, 0.5).univariate(k) == pytest.approx(expected)
 
     @pytest.mark.parametrize(
         "n,pi,k,expected", [(10, 0.3, 2, 8.1), (3, 0.2, 4, 0.0), (10, 0.3, 1, 3.0)]
     )
     def test_binomial(self, n, pi, k, expected):
-        assert binomial_factorial_moment(n, pi, k) == pytest.approx(expected)
+        assert BinomialArMoments(n, pi, 0.5).univariate(k) == pytest.approx(expected)
 
     def test_binomial_matches_brute_force(self):
         support = binomial_support(10, 0.3)
         for k in range(0, 7):
             brute = brute_force_moment(lambda x: falling_array(x, k), support)
-            assert binomial_factorial_moment(10, 0.3, k) == pytest.approx(brute, rel=1e-12)
+            assert BIN.univariate(k) == pytest.approx(brute, rel=1e-12)
 
     def test_poisson_matches_brute_force(self):
         support = poisson_support(3.0)
         for k in range(0, 7):
             brute = brute_force_moment(lambda x: falling_array(x, k), support)
-            assert poisson_factorial_moment(3.0, k) == pytest.approx(brute, rel=1e-9)
+            assert POI.univariate(k) == pytest.approx(brute, rel=1e-9)
 
 
 class TestJointFactorialMoments:
     def test_poisson_lag1_order11(self):
         # mu^2 + mu * rho
-        assert bpoi_mixed_factorial(3.0, 0.5, 1, 1, 1) == pytest.approx(10.5)
+        assert POI.mixed(1, 1, 1) == pytest.approx(10.5)
 
     def test_poisson_zero_order_convention(self):
         for s in range(0, 4):
-            expected = poisson_factorial_moment(3.0, s) if s else 1.0
-            assert bpoi_mixed_factorial(3.0, 0.5, 2, 0, s) == pytest.approx(expected)
+            expected = POI.univariate(s)
+            assert POI.mixed(0, s, 2) == pytest.approx(expected)
 
     def test_poisson_lag2_order22(self):
         # mu^4 + 4 mu^3 rho^2 + 2 mu^2 rho^4
-        assert bpoi_mixed_factorial(3.0, 0.5, 2, 2, 2) == pytest.approx(109.125)
+        assert POI.mixed(2, 2, 2) == pytest.approx(109.125)
 
     def test_binomial_lag1_order11(self):
         # n^2 pi^2 + n pi (1-pi) rho
-        assert bbin_mixed_factorial(10, 0.3, 0.5, 1, 1, 1) == pytest.approx(10.05)
+        assert BIN.mixed(1, 1, 1) == pytest.approx(10.05)
 
     def test_binomial_zero_order_convention(self):
         for s in range(0, 4):
-            expected = binomial_factorial_moment(10, 0.3, s) if s else 1.0
-            assert bbin_mixed_factorial(10, 0.3, 0.5, 3, 0, s) == pytest.approx(expected)
+            expected = BIN.univariate(s)
+            assert BIN.mixed(0, s, 3) == pytest.approx(expected)
 
     def test_binomial_order_above_n_is_zero(self):
-        assert bbin_mixed_factorial(3, 0.2, 0.5, 1, 4, 1) == 0.0
+        assert BinomialArMoments(3, 0.2, 0.5).mixed(4, 1, 1) == 0.0
 
     def test_binomial_order22_against_simulation(self):
         # E[(X_t)_(2) (X_{t-1})_(2)] over simulated transitions
@@ -354,18 +327,18 @@ class TestJointFactorialMoments:
         prod = falling_array(paths[:, 1:], 2) * falling_array(paths[:, :-1], 2)
         flat = prod.ravel()
         se = flat.std(ddof=1) / np.sqrt(prod.shape[0])  # rows are independent
-        expected = bbin_mixed_factorial(10, 0.3, 0.5, 1, 2, 2)
+        expected = BIN.mixed(2, 2, 1)
         assert abs(flat.mean() - expected) < 3 * se
 
     def test_symmetry_exhaustive(self):
         for k in range(0, 4):
             for s in range(0, 4):
                 for h in (1, 2, 3):
-                    a = bpoi_mixed_factorial(3.0, 0.5, h, k, s)
-                    b = bpoi_mixed_factorial(3.0, 0.5, h, s, k)
+                    a = POI.mixed(k, s, h)
+                    b = POI.mixed(s, k, h)
                     assert a == pytest.approx(b, rel=1e-12)
-                    a = bbin_mixed_factorial(10, 0.3, 0.5, h, k, s)
-                    b = bbin_mixed_factorial(10, 0.3, 0.5, h, s, k)
+                    a = BIN.mixed(k, s, h)
+                    b = BIN.mixed(s, k, h)
                     assert a == pytest.approx(b, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -379,23 +352,17 @@ class TestJointFactorialMoments:
         s=st.integers(1, 3),
     )
     def test_symmetry_property(self, mu, rho, n, pi, h, k, s):
-        a = bpoi_mixed_factorial(mu, rho, h, k, s)
-        assert a == pytest.approx(bpoi_mixed_factorial(mu, rho, h, s, k), rel=1e-12)
-        b = bbin_mixed_factorial(n, pi, rho, h, k, s)
-        assert b == pytest.approx(bbin_mixed_factorial(n, pi, rho, h, s, k), rel=1e-12)
+        a = PoissonArMoments(mu, rho).mixed(k, s, h)
+        assert a == pytest.approx(PoissonArMoments(mu, rho).mixed(s, k, h), rel=1e-12)
+        b = BinomialArMoments(n, pi, rho).mixed(k, s, h)
+        assert b == pytest.approx(BinomialArMoments(n, pi, rho).mixed(s, k, h), rel=1e-12)
 
     def test_long_lag_factorization(self):
         for k, s in PAIRS:
-            expected = poisson_factorial_moment(3.0, k) * poisson_factorial_moment(3.0, s)
-            assert bpoi_mixed_factorial(3.0, 0.5, 200, k, s) == pytest.approx(
-                expected, rel=1e-12
-            )
-            expected = binomial_factorial_moment(10, 0.3, k) * binomial_factorial_moment(
-                10, 0.3, s
-            )
-            assert bbin_mixed_factorial(10, 0.3, 0.5, 200, k, s) == pytest.approx(
-                expected, rel=1e-12
-            )
+            expected = POI.univariate(k) * POI.univariate(s)
+            assert POI.mixed(k, s, 200) == pytest.approx(expected, rel=1e-12)
+            expected = BIN.univariate(k) * BIN.univariate(s)
+            assert BIN.mixed(k, s, 200) == pytest.approx(expected, rel=1e-12)
 
 
 class TestJointMomentClosedForms:
@@ -404,7 +371,7 @@ class TestJointMomentClosedForms:
     def test_poisson(self, pair, h):
         k, s = pair
         want = poisson_lag_closed_form(3.0, 0.5, h, k, s)
-        assert bpoi_mixed_factorial(3.0, 0.5, h, k, s) == pytest.approx(want, rel=1e-10)
+        assert POI.mixed(k, s, h) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("h", [1, 2, 3, 7])
@@ -412,62 +379,67 @@ class TestJointMomentClosedForms:
     def test_binomial(self, pair, h, n):
         k, s = pair
         want = binomial_lag_closed_form(n, 3.0 / n, 0.5, h, k, s)
-        assert bbin_mixed_factorial(n, 3.0 / n, 0.5, h, k, s) == pytest.approx(
+        assert BinomialArMoments(n, 3.0 / n, 0.5).mixed(k, s, h) == pytest.approx(
             want, rel=1e-10
         )
 
 
 class TestLag0MixedFactorial:
     def test_poisson_11(self):
-        uni = [poisson_factorial_moment(3.0, k) for k in range(1, 7)]
-        assert lag0_mixed_factorial(uni, 1, 1) == pytest.approx(12.0)
+        assert POI.mixed(1, 1, 0) == pytest.approx(12.0)
 
     def test_poisson_22_brute_force(self):
-        uni = [poisson_factorial_moment(3.0, k) for k in range(1, 7)]
         support = poisson_support(3.0)
         brute = brute_force_moment(lambda x: (x * (x - 1)) ** 2, support)
-        assert lag0_mixed_factorial(uni, 2, 2) == pytest.approx(207.0)
-        assert lag0_mixed_factorial(uni, 2, 2) == pytest.approx(brute, rel=1e-9)
+        assert POI.mixed(2, 2, 0) == pytest.approx(207.0)
+        assert POI.mixed(2, 2, 0) == pytest.approx(brute, rel=1e-9)
 
     def test_binomial_12_brute_force(self):
-        uni = [binomial_factorial_moment(10, 0.3, k) for k in range(1, 7)]
         support = binomial_support(10, 0.3)
         brute = brute_force_moment(lambda x: x * falling_array(x, 2), support)
-        assert lag0_mixed_factorial(uni, 1, 2) == pytest.approx(35.64)
-        assert lag0_mixed_factorial(uni, 1, 2) == pytest.approx(brute, rel=1e-12)
+        assert BIN.mixed(1, 2, 0) == pytest.approx(35.64)
+        assert BIN.mixed(1, 2, 0) == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("pair", PAIRS)
     def test_all_pairs_brute_force(self, pair):
         k, s = pair
-        for support, uni in (
-            (poisson_support(3.0), [poisson_factorial_moment(3.0, j) for j in range(1, 7)]),
-            (
-                binomial_support(10, 0.3),
-                [binomial_factorial_moment(10, 0.3, j) for j in range(1, 7)],
-            ),
-        ):
+        for support, oracle in ((poisson_support(3.0), POI), (binomial_support(10, 0.3), BIN)):
             brute = brute_force_moment(
                 lambda x: falling_array(x, k) * falling_array(x, s), support
             )
-            assert lag0_mixed_factorial(uni, k, s) == pytest.approx(brute, rel=1e-9)
+            assert oracle.mixed(k, s, 0) == pytest.approx(brute, rel=1e-9)
+
+    @pytest.mark.parametrize("family", ["poisson", "binomial"])
+    def test_orders_up_to_eight_brute_force(self, family):
+        oracle, support = {
+            "poisson": (POI, poisson_support(3.0)),
+            "binomial": (BIN, binomial_support(10, 0.3)),
+        }[family]
+        for k in range(9):
+            for s in range(9 - k):
+                brute = brute_force_moment(
+                    lambda x: falling_array(x, k) * falling_array(x, s), support
+                )
+                assert oracle.mixed(k, s, 0) == pytest.approx(brute, rel=1e-9), (k, s)
 
     def test_conventions(self):
-        uni = [poisson_factorial_moment(3.0, k) for k in range(1, 7)]
-        assert lag0_mixed_factorial(uni, 0, 0) == 1.0
-        assert lag0_mixed_factorial(uni, 0, 2) == pytest.approx(9.0)
-        assert lag0_mixed_factorial(uni, 2, 0) == pytest.approx(9.0)
+        assert POI.mixed(0, 0, 0) == 1.0
+        assert POI.mixed(0, 2, 0) == pytest.approx(9.0)
+        assert POI.mixed(2, 0, 0) == pytest.approx(9.0)
 
     def test_identity_beyond_order_three(self):
-        uni = [binomial_factorial_moment(10, 0.3, j) for j in range(1, 7)]
         brute = brute_force_moment(
             lambda x: falling_array(x, 2) * falling_array(x, 4), binomial_support(10, 0.3)
         )
-        assert lag0_mixed_factorial(uni, 2, 4) == pytest.approx(brute, rel=1e-9)
+        assert BIN.mixed(2, 4, 0) == pytest.approx(brute, rel=1e-9)
 
     def test_unsupported_pair(self):
-        uni = [poisson_factorial_moment(3.0, k) for k in range(1, 7)]
-        with pytest.raises(ParameterError):
-            lag0_mixed_factorial(uni, 4, 4)
+        # orders are integers >= 0 and the lag an integer of either sign
+        for k, s, h, name in [(4, -1, 0, "s"), (1.5, 1, 0, "k"), (1, 1, 0.5, "h"),
+                              (1, 1, True, "h"), (1, 1, -2.0, "h"), (1, 1, "0", "h")]:
+            for oracle in (POI, BIN):
+                with pytest.raises(ParameterError, match=f"^{name} must "):
+                    oracle.mixed(k, s, h)
 
 
 class TestRawMomentConversion:
@@ -481,10 +453,12 @@ class TestRawMomentConversion:
 
 class TestMomentOracles:
     def test_lag0_dispatch(self):
-        pm = PoissonArMoments(3.0, 0.5)
-        uni = [pm.univariate(k) for k in range(1, 7)]
+        # lag zero reads the marginal law only: rho drops out, order 0 is univariate
         for k, s in PAIRS:
-            assert pm.mixed(k, s, 0) == pytest.approx(lag0_mixed_factorial(uni, k, s))
+            assert POI.mixed(k, s, 0) == PoissonArMoments(3.0, 0.9).mixed(k, s, 0)
+            assert BIN.mixed(k, s, 0) == BinomialArMoments(10, 0.3, 0.0).mixed(k, s, 0)
+            assert POI.mixed(k, 0, 0) == POI.univariate(k)
+            assert BIN.mixed(0, s, 0) == BIN.univariate(s)
 
     def test_negative_lag_symmetry(self):
         bm = BinomialArMoments(10, 0.3, 0.5)

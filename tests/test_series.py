@@ -165,10 +165,10 @@ BAD_VALUES = [
     (cd.sigma_binomial_markov, (1, 1, 2.5, 0.3, 0.5, 0.8, 0.6), "n"),
     (cd.PoissonArMoments, (math.inf, 0.5), "mu"),
     (cd.BinomialArMoments, (2.5, 0.3, 0.5), "n"),
-    (cd.bpoi_mixed_factorial, (3.0, 0.5, 1.5, 1, 1), "h"),
-    (cd.bbin_mixed_factorial, (2.5, 0.3, 0.5, 1, 1, 1), "n"),
-    (cd.poisson_factorial_moment, (3.0, 2.5), "k"),
-    (cd.binomial_factorial_moment, (10.5, 0.3, 2), "n"),
+    (cd.PoissonArMoments(3.0, 0.5).mixed, (1, 1, 1.5), "h"),
+    (cd.BinomialArMoments(10, 0.3, 0.5).mixed, (1, 1, True), "h"),
+    (cd.PoissonArMoments(3.0, 0.5).univariate, (2.5,), "k"),
+    (cd.BinomialArMoments(10, 0.3, 0.5).univariate, (-1,), "k"),
     (cd.NullSpec, ("binomial", 2.7), "n"),
     (cd.NullSpec, ("binomial", "10"), "n"),
     (cd.NullSpec, ("poisson", None, "0.05"), "alpha"),
