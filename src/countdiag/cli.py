@@ -16,6 +16,10 @@ from .series import Bar1, MissingSpec, PoiInar1, Seed
 from .simulate import apply_mask, simulate_bar1, simulate_markov_mask, simulate_poi_inar1
 from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_indices
 from .harness import (
+    CURVE_MU,
+    CURVE_R_VALUES,
+    CURVE_RHO,
+    CURVE_TAUS,
     DEFAULT_CHUNK,
     emit_curves,
     format_grid_table,
@@ -75,12 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cur = sub.add_parser("curves", help="emit T-fold variance/bias curve tables")
     cur.add_argument("--index", required=True, choices=list(INDEX_KINDS))
-    cur.add_argument("--rho", type=float, default=0.5)
-    cur.add_argument("--r", default="0,0.3,0.6", help="comma separated r values")
-    cur.add_argument("--tau-min", type=float, default=0.25)
-    cur.add_argument("--tau-max", type=float, default=1.0)
-    cur.add_argument("--points", type=int, default=76)
-    cur.add_argument("--mu", type=float, default=3.0)
+    cur.add_argument("--rho", type=float, default=CURVE_RHO)
+    cur.add_argument("--r", default=",".join(map(str, CURVE_R_VALUES)),
+                     help="comma separated r values")
+    tau_min, tau_max, points = CURVE_TAUS
+    cur.add_argument("--tau-min", type=float, default=tau_min)
+    cur.add_argument("--tau-max", type=float, default=tau_max)
+    cur.add_argument("--points", type=int, default=points)
+    cur.add_argument("--mu", type=float, default=CURVE_MU)
     cur.add_argument("--n", type=int)
     cur.add_argument("--out", required=True, help="output CSV path")
     return parser

@@ -301,8 +301,8 @@ def test_from_params(
     """
     if sided not in ("two", "upper", "lower"):
         raise ParameterError(f"sided must be 'two', 'upper' or 'lower', got {sided!r}")
-    marginal = marginal_params(family, mu, n)
-    asym = INDEX_KINDS[f"{family}-{kind}"].markov(marginal, rho, tau, r, T)
+    spec = INDEX_KINDS[f"{family}-{kind}"]  # first, so an unknown family fails as its kind
+    asym = spec.markov(marginal_params(family, mu, n), rho, tau, r, T)
     z = _two_sided_z(alpha)
     lower = asym.mean - z * asym.sd
     upper = asym.mean + z * asym.sd

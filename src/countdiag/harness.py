@@ -25,7 +25,7 @@ from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import Tally
 from .asymptotics import IndexAsymptotics
-from .diagnostics import INDEX_KINDS, family_kinds, marginal_params
+from .diagnostics import _N_POISSON, INDEX_KINDS, family_kinds, marginal_params
 
 #: Replications are simulated in vectorized chunks of this many paths.  Per
 #: chunk index, each model's paths and each mask law's mask have their own
@@ -59,10 +59,15 @@ class Scenario:
         )
 
 
+def _real(v) -> float:
+    """A real parameter by its float value, so that equal values (``1`` and
+    ``1.0``, ``0.0`` and ``-0.0``) key one stream and print one way."""
+    return float(v) + 0.0
+
+
 def _value(v) -> str:
-    """A real parameter as keys spell it: by its float value, so that equal
-    values (``1`` and ``1.0``, ``0.0`` and ``-0.0``) key one stream."""
-    return repr(float(v) + 0.0)
+    """A real parameter as keys spell it."""
+    return repr(_real(v))
 
 
 def _model_key(m: ModelSpec) -> str:
@@ -107,8 +112,8 @@ def _index_estimates(tally: Tally, mask, kinds, n=None) -> dict:
     """Index estimates per replication row; NaN marks a degenerate one.
 
     ``tally`` is a :class:`Tally` of the paths, read once under ``mask``;
-    with prefix ends each estimate gains a last axis, one entry per prefix
-    ``[:, :end]``.
+    each estimate has a last axis, one entry per prefix ``[:, :end]`` of the
+    tally's ends.
     """
     muhat = tally.moments(mask, max(INDEX_KINDS[k].order for k in kinds))
     return {kind: INDEX_KINDS[kind].estimate(muhat, n) for kind in kinds}
@@ -315,7 +320,7 @@ def grid_config_from_dict(doc: dict) -> GridConfig:
     if "family" not in doc:
         raise ParameterError("config requires a 'family' key")
     if doc["family"] == "poisson" and "n" in doc:
-        raise ParameterError("'n' is only valid for the binomial family")
+        raise ParameterError(_N_POISSON)
     doc = dict(doc)
     for axis in ("n", "tau", "r", "T"):
         if axis in doc:
@@ -364,8 +369,8 @@ def result_rows(results: Sequence[ScenarioResult]) -> list:
     for res in results:
         s, m = res.scenario, res.scenario.model
         row = dict(zip(_CELL_COLUMNS, (
-            m.family, m.n if isinstance(m, Bar1) else "", m.mean, m.rho,
-            s.missing.tau, s.missing.r, s.T, s.replications,
+            m.family, m.n if isinstance(m, Bar1) else "", _real(m.mean), _real(m.rho),
+            _real(s.missing.tau), _real(s.missing.r), s.T, s.replications,
         )))
         for kind, stat in res.stats.items():
             prefix = INDEX_KINDS[kind].prefix
@@ -402,14 +407,17 @@ def format_grid_table(results: Sequence[ScenarioResult]) -> str:
 
 
 _CURVE_COLUMNS = ("index", "tau", "r", "mu", "n", "t_variance", "t_bias")
+#: The default curve grid of ``emit_curves`` and ``countdiag curves``: rho, the
+#: r values, the taus as ``np.linspace`` arguments (least, greatest, points), mu.
+CURVE_RHO, CURVE_R_VALUES, CURVE_TAUS, CURVE_MU = 0.5, (0.0, 0.3, 0.6), (0.25, 1.0, 76), 3.0
 
 
 def emit_curves(
     kind: str,
-    rho: float = 0.5,
-    r_values: Sequence[float] = (0.0, 0.3, 0.6),
+    rho: float = CURVE_RHO,
+    r_values: Sequence[float] = CURVE_R_VALUES,
     taus: Optional[Sequence[float]] = None,
-    mu: float = 3.0,
+    mu: float = CURVE_MU,
     n: Optional[int] = None,
 ) -> list:
     """Tabulate T-fold asymptotic variance and bias over a tau range.
@@ -420,7 +428,7 @@ def emit_curves(
     practically meaningful regime.
     """
     if taus is None:
-        taus = np.linspace(0.25, 1.0, 76)
+        taus = np.linspace(*CURVE_TAUS)
     taus = np.asarray(taus, dtype=np.float64)
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")

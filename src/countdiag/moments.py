@@ -20,9 +20,10 @@ class Tally:
     moments are its value histogram times a falling-factorial table.  The
     tally is the per-paths half of that product: position t of row i holds
     the bin key ``(i * S + s) * V + x - lo``, where s is the slot of t among
-    the S prefix ``ends`` and ``lo..lo+V-1`` the value window.  The per-mask
-    half, :meth:`moments`, is one ``bincount`` of the keys weighted by the
-    mask.  The window starts at the least count and holds at most
+    the S prefix ``ends`` (strictly increasing, in 1..T; ``[T]`` for whole
+    rows) and ``lo..lo+V-1`` the value window.  The per-mask half,
+    :meth:`moments`, is one ``bincount`` of the keys weighted by the mask.
+    The window starts at the least count and holds at most
     ``ends[-1] // S`` values, so the histogram never has more bins than the
     tally has positions, whatever the counts.  The rare counts above the
     window are kept aside (flat position, row-and-slot group, value), and
@@ -33,20 +34,17 @@ class Tally:
     so pass one that nothing else reads.
     """
 
-    def __init__(self, counts, ends=None):
+    def __init__(self, counts, ends):
         counts = np.asarray(counts)
         T = counts.shape[-1]
-        if ends is None:
-            bounds = np.array([T], dtype=np.intp)
-        else:
-            bounds = np.asarray(ends, dtype=np.intp)
-            if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or bounds[-1] > T or np.any(
-                np.diff(bounds) <= 0
-            ):
-                raise ParameterError(
-                    f"prefix ends must increase strictly within 1..{T}, got {bounds.tolist()}"
-                )
-        self.ends = None if ends is None else bounds.tolist()
+        bounds = np.asarray(ends, dtype=np.intp)
+        if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or bounds[-1] > T or np.any(
+            np.diff(bounds) <= 0
+        ):
+            raise ParameterError(
+                f"prefix ends must increase strictly within 1..{T}, got {bounds.tolist()}"
+            )
+        self.ends = bounds.tolist()
         self.lead = counts.shape[:-1]
         n, S = int(bounds[-1]), bounds.size
         rows = prod(self.lead)
@@ -69,7 +67,7 @@ class Tally:
         """Factorial moments of orders 1..m over the mask-1 positions of each row.
 
         ``muhat[k-1]`` is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with
-        nothing observed; with ``ends`` a last axis holds one entry per prefix
+        nothing observed, and its last axis holds one entry per prefix
         ``[..., :end]``.  ``mask`` has the counts' shape, or a longer last axis.
         Every sum is of integer-valued float64, exact below 2**53 in any order,
         so each moment equals the elementwise masked sum bit for bit there.
@@ -98,8 +96,7 @@ class Tally:
         sums = sums.reshape(rows, S, m).cumsum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             muhat = np.moveaxis(sums / n_obs[..., None], -1, 0)
-        muhat = muhat.reshape((m,) + self.lead + (S,))
-        return muhat if self.ends is not None else muhat[..., 0]
+        return muhat.reshape((m,) + self.lead + (S,))
 
 
 def _falling(x, m: int):
@@ -112,35 +109,20 @@ def _falling(x, m: int):
         yield fk
 
 
-def factorial_moments(values, mask, m: int, ends=None) -> np.ndarray:
-    """Sample factorial moments of orders 1..m of each row of (..., T) counts.
-
-    Only mask-1 positions are read: the k-th moment of a row, ``muhat[k-1]``,
-    is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with nothing observed.
-    With ``ends``, strictly increasing lengths in 1..T, the moments of every
-    prefix ``[..., :end]`` come out along a new last axis from one pass.
-
-    The one-shot view of :class:`Tally`: masked positions are overwritten,
-    the counts tallied and the tally read once under the mask.
-    """
-    values, observed = np.asarray(values), np.asarray(mask) == 1
-    # masked positions take the first observed count (0 if none): their keys
-    # are never read, and the window still starts at the least observed count
-    first = np.argmax(observed)
-    counts = np.where(observed, values, values.flat[first] if observed.flat[first] else 0)
-    return Tally(counts, ends).moments(mask, m)
-
-
 def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:
     """Factorial moments of orders 1..m from the observed positions only.
 
-    The one-series view of :func:`factorial_moments`: ``muhat[k-1]`` is the
-    k-th moment, and unobserved positions contribute nothing to either
-    numerator or denominator.
+    ``muhat[k-1]`` is the k-th moment, sum_t O_t (X_t)_(k) / sum_t O_t:
+    unobserved positions contribute nothing to either numerator or
+    denominator.  The one-series view of :class:`Tally`.
     """
     if series.n_observed == 0:
         raise DegenerateSeriesError(_NONE_OBSERVED)
-    return factorial_moments(series.values, series.mask, m)
+    values, observed = series.values, series.mask == 1
+    # masked positions take the first observed count: their keys are never
+    # read, and the window still starts at the least observed count
+    counts = np.where(observed, values, values[np.argmax(observed)])
+    return Tally(counts, [series.T]).moments(series.mask, m)[..., 0]
 
 
 def _observed_mean(series: CountSeries) -> float:

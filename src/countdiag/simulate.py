@@ -126,14 +126,14 @@ def _exact_paths(x, T: int, step) -> np.ndarray:
     then scalars: numpy yields the same stream as for size-1 arrays, and a
     list stores scalars faster than an array row.
     """
-    count = 1 if np.ndim(x) == 0 else len(x)
-    out = np.empty((count, T), dtype=np.int64)
-    steps = [0] * T if count == 1 else out.T
+    scalar = np.ndim(x) == 0
+    out = np.empty((np.size(x), T), dtype=np.int64)
+    steps = [0] * T if scalar else out.T
     steps[0] = x
     for t in range(1, T):
         x = step(x, t)
         steps[t] = x
-    if count == 1:
+    if scalar:
         out[0] = steps
     return out
 

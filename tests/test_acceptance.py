@@ -356,14 +356,14 @@ def test_criterion_5_property_suites():
     rng = np.random.default_rng(np.random.SeedSequence([MC_SEED, 4]))
     x = _poisson_paths(3.0, 0.5, T, R_MC, rng)
     o = _markov_mask_from_uniforms(rng.random((R_MC, T)), 0.8, 0.6)
-    est = _index_estimates(Tally(x.copy()), o, ("poisson-dispersion", "poisson-skewness"))
+    est = _index_estimates(Tally(x.copy(), [T]), o, ("poisson-dispersion", "poisson-skewness"))
     z = norm.ppf(0.975)
     sizes = {}
     for kind, asym in (
         ("poisson-dispersion", poi_dispersion_asym_markov(3.0, 0.5, 0.8, 0.6, T)),
         ("poisson-skewness", skew_asym_poisson_markov(3.0, 0.5, 0.8, 0.6, T)),
     ):
-        e = est[kind]
+        e = est[kind][:, 0]
         lo, hi = asym.mean - z * asym.sd, asym.mean + z * asym.sd
         sizes[kind] = float(((e < lo) | (e > hi)).mean())
         assert abs(sizes[kind] - 0.05) <= 0.015, (kind, sizes[kind])
@@ -381,7 +381,7 @@ def test_criterion_5_property_suites():
     num = ((of[:, :-1] - obar[:, None]) * (of[:, 1:] - obar[:, None])).sum(1) / (T - 1)
     den = ((of - obar[:, None]) ** 2).sum(1) / T
     rh = np.clip(num / den, 0.0, 1 - 1e-9)
-    e = est["poisson-dispersion"]
+    e = est["poisson-dispersion"][:, 0]
     rejected = 0
     for i in range(R_MC):
         asym = poi_dispersion_asym_markov(mu[i], rho1[i], tauh[i], rh[i], T)

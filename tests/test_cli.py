@@ -9,6 +9,7 @@ import pytest
 import countdiag
 from countdiag import load_series_csv
 from countdiag.cli import main
+from countdiag.harness import emit_curves, write_curves_csv
 
 
 class TestSimulateCommand:
@@ -377,6 +378,16 @@ class TestCurvesCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "index,tau,r,mu,n,t_variance,t_bias"
         assert len(lines) == 1 + 3 * 20  # three r values by default
+
+    @pytest.mark.parametrize("index, flags", [
+        ("poisson-skewness", []), ("binomial-dispersion", ["--n", "10"]),
+    ])
+    def test_defaults_are_the_default_curve_grid(self, tmp_path, index, flags):
+        out, want = tmp_path / "curves.csv", tmp_path / "want.csv"
+        assert main(["curves", "--index", index, *flags, "--out", str(out)]) == 0
+        write_curves_csv(emit_curves(index, n=10 if flags else None), want)
+        assert out.read_bytes() == want.read_bytes()
+        assert len(out.read_text().splitlines()) == 1 + 3 * 76
 
     def test_poisson_dispersion_endpoint(self, tmp_path):
         out = tmp_path / "curves.csv"

@@ -40,7 +40,7 @@ from countdiag.diagnostics import (
 from countdiag.cli import build_parser, main
 from countdiag.harness import _index_estimates, write_series_csv
 from countdiag.missingness import dr_acf
-from countdiag.moments import Tally, factorial_moments, sample_factorial_moments
+from countdiag.moments import Tally, sample_factorial_moments
 
 
 class TestIndexEstimators:
@@ -119,16 +119,16 @@ class TestBatchedEstimator:
         values, mask = (np.array(a, dtype=np.int64) for a in rows)
         n = 10 if family == "binomial" else None
         kinds = [k for k, spec in INDEX_KINDS.items() if spec.family == family]
-        batched = _index_estimates(Tally(values.copy()), mask, kinds, n=n)
+        batched = _index_estimates(Tally(values.copy(), [values.shape[1]]), mask, kinds, n=n)
         for kind in kinds:
             for i in range(values.shape[0]):
                 series = CountSeries(values[i], mask[i])
                 try:
                     single = _index_value(series, kind, n)
                 except DegenerateSeriesError:
-                    assert np.isnan(batched[kind][i])
+                    assert np.isnan(batched[kind][i, 0])
                 else:
-                    assert batched[kind][i] == single
+                    assert batched[kind][i, 0] == single
 
 
 def _outcome(call):
@@ -155,11 +155,10 @@ class TestMaskedValuesNeverRead:
         hidden = np.flatnonzero(mask == 0)
         garbled[hidden] = np.resize(np.array(garbage), hidden.size)
         a, b = CountSeries(values, mask), CountSeries(garbled, mask)
-        assert np.array_equal(
-            factorial_moments(a.values, a.mask, 3),
-            factorial_moments(b.values, b.mask, 3),
-            equal_nan=True,
-        )
+        def moments(series):
+            return sample_factorial_moments(series, 3).tolist()
+
+        assert _outcome(lambda: moments(a)) == _outcome(lambda: moments(b))
         max_lag = a.T - 1
 
         def acf(series):
@@ -198,8 +197,7 @@ class TestObservedValuesOnly:
         a = place(observed, data.draw(positions))
         b = place(data.draw(st.permutations(observed)), data.draw(positions))
         assert (
-            factorial_moments(a.values, a.mask, 3).tobytes()
-            == factorial_moments(b.values, b.mask, 3).tobytes()
+            sample_factorial_moments(a, 3).tobytes() == sample_factorial_moments(b, 3).tobytes()
         )
 
         for statistic in (
@@ -384,6 +382,12 @@ class TestTestFromParams:
         with pytest.raises(ParameterError):
             run_test_from_params("dispersion", "binomial", mu=3.0, rho=0.5,
                              tau=0.8, r=0.0, T=250)
+
+    @pytest.mark.parametrize("family, kind", [("Poisson", "dispersion"), ("poisson", "skew")])
+    def test_unknown_kind_named_before_n(self, family, kind):
+        with pytest.raises(ParameterError) as err:
+            run_test_from_params(kind, family, mu=3.0, rho=0.5, tau=0.8, r=0.3, T=100)
+        assert str(err.value) == f"unknown index kind '{family}-{kind}'"
 
     def test_report_is_json_serializable(self):
         rep = run_test_from_params("skewness", "binomial", mu=3.0, rho=0.5,

@@ -145,15 +145,22 @@ class TestRunGrid:
             ):
                 GridConfig("binomial", replications=1, **{key: values})
 
-    def test_equal_values_key_one_stream(self):
-        # 0, 0.0 and -0.0 are one mask law, so they draw one stream
-        stats = []
+    def test_equal_values_key_one_stream(self, tmp_path):
+        # 0, 0.0 and -0.0 are one mask law, so they draw one stream; they and
+        # mu 3 and 3.0 print by their float value, in the CSV and the table
+        printed = set()
         for r in (0, 0.0, -0.0, np.float64(0.0)):
-            doc = {"family": "poisson", "tau": 0.8, "r": r, "T": 50, "replications": 64}
-            (result,) = run_grid(grid_config_from_dict(doc))
-            assert result.scenario.key() == "poi(mu=3.0,rho=0.5)|mask(tau=0.8,r=0.0)|T=50|R=64"
-            stats.append(result.stats)
-        assert all(s == stats[0] for s in stats[1:])
+            for mu in (3, 3.0):
+                doc = {"family": "poisson", "mu": mu, "tau": 0.8, "r": r, "T": 50,
+                       "replications": 64}
+                results = run_grid(grid_config_from_dict(doc))
+                key = results[0].scenario.key()
+                assert key == "poi(mu=3.0,rho=0.5)|mask(tau=0.8,r=0.0)|T=50|R=64"
+                write_grid_csv(results, tmp_path / "grid.csv")
+                printed.add(((tmp_path / "grid.csv").read_bytes(), format_grid_table(results)))
+        ((grid, table),) = printed
+        assert grid.splitlines()[1].startswith(b"poisson,,3.0,0.5,0.8,0.0,50,64,")
+        assert table.splitlines()[1].split()[:2] == ["0.80", "0.00"]
 
     def test_binomial_grid_carries_both_bounds(self):
         config = GridConfig("binomial", replications=1, n=(10, 25))

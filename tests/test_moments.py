@@ -17,7 +17,7 @@ from countdiag import (
     sample_factorial_moments,
     stirling2,
 )
-from countdiag.moments import Tally, _observed_mean, factorial_moments
+from countdiag.moments import Tally, _observed_mean
 from countdiag.simulate import _binomial_paths, _poisson_paths
 from countdiag.simulate import _markov_mask_from_uniforms
 
@@ -88,6 +88,26 @@ class TestSampleFactorialMoments:
         b = sample_factorial_moments(CountSeries(garbled, mask), 3)
         assert np.array_equal(a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_masked_garbage_never_read(self, data):
+        T = data.draw(st.integers(1, 30))
+        top = data.draw(st.sampled_from([1, 5, 60, 20_000]))
+        values = np.array(data.draw(st.lists(st.integers(0, top), min_size=T, max_size=T)))
+        mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=T, max_size=T)))
+        hidden = np.flatnonzero(mask == 0)
+        garbage = st.integers(-(10**6), 10**6)
+        values[hidden] = data.draw(st.lists(garbage, min_size=hidden.size, max_size=hidden.size))
+        series, m = CountSeries(values, mask), data.draw(st.integers(1, 3))
+        if hidden.size == T:
+            with pytest.raises(DegenerateSeriesError, match="no observed positions"):
+                sample_factorial_moments(series, m)
+            return
+        got = sample_factorial_moments(series, m)
+        assert got.shape == (m,)
+        assert np.array_equal(got, reference_factorial_moments(values, mask, m))
+
+    # the prefix ends that the grid engine reads, through the tally itself
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_prefix_ends_equal_per_prefix_calls(self, data):
@@ -98,19 +118,18 @@ class TestSampleFactorialMoments:
         mask[:, : data.draw(st.integers(0, T))] = 0  # some prefixes fully masked
         ends = sorted(data.draw(st.sets(st.integers(1, T), min_size=1)))
         m = data.draw(st.integers(1, 3))
-        got = factorial_moments(values, mask, m, ends)
+        got = Tally(values.copy(), ends).moments(mask, m)
         assert got.shape == (m, rows, len(ends))
         for e, end in enumerate(ends):
-            want = factorial_moments(values[:, :end], mask[:, :end], m)
-            assert np.array_equal(got[..., e], want, equal_nan=True)
-        assert np.array_equal(
-            factorial_moments(values[0], mask[0], m, ends), got[:, 0], equal_nan=True
-        )
+            want = Tally(values[:, :end].copy(), [end]).moments(mask[:, :end], m)
+            assert np.array_equal(got[..., e], want[..., 0], equal_nan=True)
+        one_row = Tally(values[0].copy(), ends).moments(mask[0], m)
+        assert np.array_equal(one_row, got[:, 0], equal_nan=True)
 
     @pytest.mark.parametrize("ends", [[], [0], [3, 3], [2, 1], [6], [[1, 2]]])
     def test_prefix_ends_validated(self, ends):
         with pytest.raises(ParameterError, match="prefix ends"):
-            factorial_moments(np.ones((2, 5)), np.ones((2, 5)), 1, ends)
+            Tally(np.ones((2, 5), dtype=np.int64), ends)
 
     def test_unbiased_over_replications(self):
         # mean of muhat_(k) across replications matches the model moments
@@ -151,21 +170,16 @@ class TestTallyKernel:
         T = data.draw(st.integers(1, 30))
         shape, size = lead + (T,), int(np.prod(lead + (T,)))
         top = data.draw(st.sampled_from([1, 5, 60, 20_000]))
-        observed = st.integers(0, top)
-        values = np.array(data.draw(st.lists(observed, min_size=size, max_size=size)))
+        values = np.array(data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size)))
         mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
         values, mask = values.reshape(shape), mask.reshape(shape).astype(np.int8)
         if lead and data.draw(st.booleans()):
             mask[(0,) * (len(lead) - 1)] = 0  # one row with nothing observed
-        garbage = st.integers(-(10**6), 10**6)
-        hidden = mask == 0
-        count = int(hidden.sum())
-        values[hidden] = data.draw(st.lists(garbage, min_size=count, max_size=count))
-        ends = data.draw(st.none() | st.sets(st.integers(1, T), min_size=1).map(sorted))
+        ends = data.draw(st.just([T]) | st.sets(st.integers(1, T), min_size=1).map(sorted))
         m = data.draw(st.integers(1, 3))
-        got = factorial_moments(values, mask, m, ends)
+        got = Tally(values.copy(), ends).moments(mask, m)
         want = reference_factorial_moments(values, mask, m, ends)
-        assert got.shape == want.shape
+        assert got.shape == want.shape == (m,) + lead + (len(ends),)
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_tally_reads_under_many_masks(self):
@@ -179,19 +193,19 @@ class TestTallyKernel:
 
     def test_tally_overwrites_int64_counts_only(self):
         x = np.array([[3, 1, 4], [1, 5, 9]])
-        Tally(x)
+        Tally(x, [3])
         assert not np.array_equal(x, [[3, 1, 4], [1, 5, 9]])
         y = [[3, 1, 4], [1, 5, 9]]
         narrow = np.array(y, dtype=np.int32)
-        Tally(narrow)
+        Tally(narrow, [3])
         assert np.array_equal(narrow, y)
-        values = np.array(y)
-        factorial_moments(values, np.ones((2, 3)), 2)
-        assert np.array_equal(values, y)
+        series = CountSeries(y[0])
+        sample_factorial_moments(series, 2)
+        assert np.array_equal(series.values, y[0])
 
     def test_order_validated(self):
         with pytest.raises(ParameterError, match="max order"):
-            factorial_moments(np.ones(4), np.ones(4), 0)
+            Tally(np.ones(4, dtype=np.int64), [4]).moments(np.ones(4), 0)
 
     @staticmethod
     def _peak_bytes(call):
@@ -211,7 +225,9 @@ class TestTallyKernel:
         values[T // 2] = 10**9
         mask = (rng.random(T) < 0.8).astype(np.int8)
         mask[T // 2] = 1
-        got, peak = self._peak_bytes(lambda: factorial_moments(values, mask, 3))
+        series = CountSeries(values, mask)
+        # the measured call includes the copy that fills the masked positions
+        got, peak = self._peak_bytes(lambda: sample_factorial_moments(series, 3))
         assert peak < 4 * (values.nbytes + mask.nbytes)
         want = reference_factorial_moments(values, mask, 3)
         assert got[0] == want[0]  # order 1 sums stay below 2**53
@@ -227,8 +243,9 @@ class TestTallyKernel:
         rng = np.random.default_rng(6)
         values = _poisson_paths(1e4, 0.5, 1000, 2048, rng)
         mask = _markov_mask_from_uniforms(rng.random((2048, 1000)), 0.8, 0.3)
-        for ends, bound in ((None, 4), ([100, 250, 500, 1000], 8)):
-            got, peak = self._peak_bytes(lambda: factorial_moments(values, mask, 3, ends))
+        for ends, bound in (([1000], 4), ([100, 250, 500, 1000], 8)):
+            # the measured call includes the copy that the tally overwrites
+            got, peak = self._peak_bytes(lambda: Tally(values.copy(), ends).moments(mask, 3))
             assert peak < bound * (values.nbytes + mask.nbytes)
             want = reference_factorial_moments(values, mask, 3, ends)
             assert np.array_equal(got, want, equal_nan=True)

@@ -555,6 +555,17 @@ class TestKernelRoutes:
         if cut is not None:
             assert np.count_nonzero(got[0] >= cut) > 100
 
+    @pytest.mark.parametrize("model", [("poisson", 3.0, 0.5), ("binomial", 10, 0.3, 0.5)])
+    def test_exact_route_one_row_equals_scalar(self, model, monkeypatch):
+        # T is below the table size, so both take the exact two-draw step
+        monkeypatch.setattr(simulate, "_inversion_table", _fail)
+        got = []
+        for x in (4, np.array([4])):
+            rng = np.random.default_rng(29)
+            got.append(simulate._paths(x, 50, rng, *model_kernel(model, rng)))
+        assert got[0].shape == got[1].shape == (1, 50)
+        assert np.array_equal(got[0], got[1])
+
 
 def _fail(*args):
     raise AssertionError("no table is built on this route")
