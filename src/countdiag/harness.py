@@ -65,6 +65,13 @@ def _real(v) -> float:
     return float(v) + 0.0
 
 
+def _check_once(key: str, value, before) -> None:
+    """Reject an axis value equal to one listed before it: one cell, one
+    stream, one row (1 == 1.0 and 0.0 == -0.0)."""
+    if value in before:
+        raise ParameterError(f"{key} must list each value once, got {value} again")
+
+
 def _value(v) -> str:
     """A real parameter as keys spell it."""
     return repr(_real(v))
@@ -283,8 +290,7 @@ class GridConfig:
                 raise ParameterError(f"{key} must list at least one value")
             for i, value in enumerate(values):
                 _check(key, value)
-                if value in values[:i]:  # one cell, one stream: 1 == 1.0 and 0.0 == -0.0
-                    raise ParameterError(f"{key} must list each value once, got {value} again")
+                _check_once(key, value, values[:i])
         if self.family == "binomial":
             for n in self.n:
                 if not 0.0 < self.mu / n < 1.0:
@@ -423,23 +429,27 @@ def emit_curves(
     """Tabulate T-fold asymptotic variance and bias over a tau range.
 
     Returns one dict per (r, tau) pair with columns tau, r, mu, n,
-    t_variance and t_bias, ready for external plotting.  The tau range must
-    stay within [0.25, 1]: more than 75 percent missing data is not a
-    practically meaningful regime.
+    t_variance and t_bias, ready for external plotting.  Each r value is
+    listed once and prints by its float value, as grid axes do.  The tau
+    range must stay within [0.25, 1]: more than 75 percent missing data is
+    not a practically meaningful regime.
     """
     if taus is None:
         taus = np.linspace(*CURVE_TAUS)
     taus = np.asarray(taus, dtype=np.float64)
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
+    r_values = [_real(r) for r in r_values]
+    for i, r in enumerate(r_values):
+        _check_once("r", r, r_values[:i])
     spec = INDEX_KINDS[kind]
     marginal = marginal_params(spec.family, mu, n)
     rows = []
     for r in r_values:
         for tau in taus:
-            asym = spec.markov(marginal, rho, float(tau), float(r), 1)
+            asym = spec.markov(marginal, rho, float(tau), r, 1)
             rows.append(dict(zip(_CURVE_COLUMNS, (
-                kind, float(tau), float(r), mu, "" if n is None else n, asym.variance, asym.bias
+                kind, float(tau), r, mu, "" if n is None else n, asym.variance, asym.bias
             ))))
     return rows
 

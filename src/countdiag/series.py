@@ -115,8 +115,7 @@ class CountSeries:
                 f"values and mask must have equal length, got "
                 f"{self.values.size} and {self.mask.size}"
             )
-        observed = self.values[self.mask == 1]
-        if observed.size and observed.min() < 0:
+        if np.any((self.values < 0) & (self.mask == 1)):
             raise ParameterError("observed counts must be non-negative")
 
     @property

@@ -283,30 +283,63 @@ def simulate_bar1(spec: Bar1, T: int, seed: Seed) -> CountSeries:
     return CountSeries(_binomial_paths(spec.n, spec.pi, spec.rho, T, 1, seed.generator())[0])
 
 
+def _packed_steps(u: np.ndarray, p: float, first: np.ndarray, words: int) -> np.ndarray:
+    """Rows of uint64 words whose bit t is u[:, t] < p, with bit 0 taken from
+    ``first`` and the bits past the row's steps left 0."""
+    steps = np.zeros((len(u), 64 * words), dtype=bool)
+    np.less(u, p, out=steps[:, : u.shape[1]])
+    steps[:, 0] = first
+    return np.packbits(steps, axis=-1, bitorder="little").view("<u8")
+
+
 def _markov_mask_from_uniforms(u: np.ndarray, tau: float, r: float) -> np.ndarray:
     """Build stationary int8 Markov mask paths from uniforms along the last axis.
 
     A latch: one uniform per step either forces the state (below P(1|0) -> 1,
     at or above P(1|1) -> 0) or copies the previous state.  The first step of
-    each path is forced to u < tau, so on the flattened array every unforced
-    step copies the last forced one before it, and each forced state is
-    repeated over its run.  At r = 0 every step is forced and the mask is
-    u < tau.  Requires r >= 0 so that P(1|0) <= tau <= P(1|1); ``u`` is freed
-    here once read, so pass it without keeping a reference.
+    each path is forced to u < tau.  At r = 0 every step is forced and the
+    mask is u < tau.  Requires r >= 0 so that P(1|0) <= tau <= P(1|1).
+
+    The latch runs 64 steps per machine word.  Each row is packed into uint64
+    words, bit t holding step t, as g (a gain: forced to 1) and h (a hold: not
+    forced to 0); a gain is also a hold.  In the sum s = g + h, a gain leaves
+    a carry that runs up through the copy steps after it (h = 1, g = 0) and
+    stops at the first forced 0 (h = 0), so a copy step's bit of s ^ h is the
+    carry into it, which is the previous state, and the mask is
+    ((s ^ h) | g) & h.  Bit 0 is forced, so no carry enters a row.
+
+    Each row's words add as one long integer.  A word of all ones passes the
+    carry into it on; any other word passes on just its own overflow.  So the
+    carry into a word is the overflow of the last word before it that is not
+    all ones, found by one running maximum over the words.  The bits past T
+    are 0 in g and h, forced 0s: they absorb the carry of the last step and
+    read 0, and the carry out of a row's last word is dropped.  ``u`` is not
+    written; it is freed here once read, so pass it without keeping a
+    reference.
     """
     p_gain = tau * (1.0 - r)  # P(O_t = 1 | O_{t-1} = 0)
     p_stay = tau + (1.0 - tau) * r  # P(O_t = 1 | O_{t-1} = 1)
     if p_gain == p_stay:
         return np.less(u, tau, order="C").view(np.int8)
-    gain = u < p_gain
-    forced = gain | (u >= p_stay)
-    gain[..., 0] = u[..., 0] < tau
-    forced[..., 0] = True
+    shape, T = u.shape, u.shape[-1]
+    words = -(-T // 64)
+    u = u.reshape(-1, T)
+    first = u[:, 0] < tau
+    g = _packed_steps(u, p_gain, first, words)
+    h = _packed_steps(u, p_stay, first, words)
     del u
-    at = np.flatnonzero(forced)
-    del forced
-    state = gain.ravel()[at].view(np.int8)
-    return np.repeat(state, np.diff(at, append=gain.size)).reshape(gain.shape)
+    s = g + h
+    overflow = s < g
+    # the last word at or before each that is not all ones; word 0 never is,
+    # as bit 0 of s is 0
+    stop = np.where(s != np.uint64(2**64 - 1), np.arange(words), 0)
+    np.maximum.accumulate(stop, axis=1, out=stop)
+    s[:, 1:] += np.take_along_axis(overflow, stop[:, :-1], axis=1)
+    s ^= h
+    s |= g
+    s &= h
+    states = s.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(states, axis=-1, count=T, bitorder="little").view(np.int8).reshape(shape)
 
 
 def simulate_markov_mask(spec: MissingSpec, T: int, seed: Seed) -> np.ndarray:

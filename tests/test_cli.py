@@ -418,6 +418,26 @@ class TestCurvesCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_r_prints_by_its_float_value(self, tmp_path):
+        out, want = tmp_path / "curves.csv", tmp_path / "want.csv"
+        flags = ["--index", "poisson-dispersion", "--points", "2", "--tau-min", "0.5"]
+        assert main(["curves", *flags, "--r=-0.0,0.3", "--out", str(out)]) == 0
+        assert main(["curves", *flags, "--r=0,0.3", "--out", str(want)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == [
+            "0.0", "0.0", "0.3", "0.3"
+        ]
+
+    @pytest.mark.parametrize(
+        "r, again", [("-0.0,0", "0.0"), ("0.3,0.6,0.30", "0.3"), ("0.6,0.6", "0.6")]
+    )
+    def test_r_listed_twice_is_error(self, tmp_path, capsys, r, again):
+        out = tmp_path / "curves.csv"
+        rc = main(["curves", "--index", "poisson-dispersion", f"--r={r}", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: r must list each value once, got {again} again\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("index", ["poisson-dispersion", "poisson-skewness"])
     def test_n_for_poisson_index_is_error(self, tmp_path, capsys, index):
         out = tmp_path / "curves.csv"

@@ -33,6 +33,10 @@ class TestCountSeries:
         with pytest.raises(ParameterError):
             CountSeries([1, -1], [1, 1])
 
+    def test_negative_observed_named_among_hidden_negatives(self):
+        with pytest.raises(ParameterError, match="^observed counts must be non-negative$"):
+            CountSeries([-3, 1, -1, -7], [0, 1, 1, 0])
+
     def test_masked_positions_unvalidated(self):
         # sentinels at hidden positions may be anything, including negative
         s = CountSeries([1, -7, 2], [1, 0, 1])

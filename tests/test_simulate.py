@@ -247,6 +247,23 @@ def mask_inputs(draw):
     return u, tau, r
 
 
+@st.composite
+def word_mask_inputs(draw):
+    """Uniforms of 1 to 3 dimensions whose T lies at and around the 64-step
+    words of the kernel, some set exactly at the thresholds, for a law with r
+    up to 0.9999: long runs of copy steps carry across words."""
+    tau = draw(st.floats(0.0, 1.0, exclude_min=True))
+    r = draw(st.one_of(st.floats(0.0, 0.9999), st.sampled_from([0.9, 0.99, 0.999, 0.9999])))
+    edges = [tau * (1.0 - r), tau + (1.0 - tau) * r, tau]
+    T = draw(st.sampled_from([63, 64, 65, 127, 128, 129, 1000]))
+    rows = draw(st.lists(st.integers(1, 3), max_size=2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    u = np.random.default_rng(seed).random((*rows, T))
+    at = draw(st.lists(st.integers(0, u.size - 1), max_size=20))
+    u.flat[at] = draw(st.lists(st.sampled_from(edges), min_size=len(at), max_size=len(at)))
+    return u, tau, r
+
+
 def _with_edges(u, tau, r):
     """A copy of ``u`` with many values set exactly at P(1|0), P(1|1) and tau."""
     u = u.copy()
@@ -259,6 +276,15 @@ def _with_edges(u, tau, r):
 _EDGE_U = np.random.default_rng(3).random((4, 30))
 
 
+def _assert_equals_reference_latch(u, tau, r):
+    expected = reference_markov_mask(u, tau, r)
+    got = _markov_mask_from_uniforms(u, tau, r)
+    assert got.dtype == expected.dtype == np.int8
+    assert got.shape == expected.shape
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, expected)
+
+
 class TestMaskKernel:
     @settings(max_examples=300, deadline=None)
     @given(mask_inputs())
@@ -269,13 +295,24 @@ class TestMaskKernel:
     @example(_with_edges(_EDGE_U.reshape(2, 3, 20), 0.5, 0.5))
     @example((np.array([0.25]), 0.5, 0.5))
     def test_equals_reference_latch(self, inputs):
-        u, tau, r = inputs
-        expected = reference_markov_mask(u, tau, r)
-        got = _markov_mask_from_uniforms(u, tau, r)
-        assert got.dtype == expected.dtype == np.int8
-        assert got.shape == expected.shape
-        assert got.flags.c_contiguous and got.flags.writeable
-        assert np.array_equal(got, expected)
+        _assert_equals_reference_latch(*inputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_mask_inputs())
+    def test_equals_reference_latch_across_words(self, inputs):
+        _assert_equals_reference_latch(*inputs)
+
+    @pytest.mark.parametrize("first, state", [(0.1, 1), (0.95, 0)])
+    def test_copy_steps_carry_the_first_state_through_every_word(self, first, state):
+        # every step after the first lies between P(1|0) and P(1|1), so it
+        # copies: a gain in column 0 carries across all 1563 words
+        tau, r = 0.9, 0.999
+        u = np.full(100_000, 0.5)
+        u[0] = first
+        assert tau * (1.0 - r) <= 0.5 < tau + (1.0 - tau) * r
+        mask = _markov_mask_from_uniforms(u, tau, r)
+        assert mask.dtype == np.int8 and mask.shape == u.shape
+        assert np.all(mask == state)
 
     def test_leaves_uniforms_unchanged(self):
         u = _EDGE_U.copy()
