@@ -58,7 +58,7 @@ class SequenceMaskLaw:
     """Mask law given by tau and user-supplied lagged products tau(h), h = 1..L.
 
     Beyond the supplied lags the mask is treated as uncorrelated, i.e.
-    tau(h) = tau**2 for h > L.
+    tau(h) = tau**2 for h > L.  Each tau(h) = E[O_t O_{t+h}] lies in [0, tau].
     """
 
     def __init__(self, tau: float, lagged_products):
@@ -66,8 +66,10 @@ class SequenceMaskLaw:
         vals = np.asarray(lagged_products, dtype=np.float64)
         if vals.ndim != 1:
             raise ParameterError("lagged products must be a one-dimensional sequence")
-        if np.any(vals < 0.0) or np.any(vals > 1.0):
-            raise ParameterError("lagged products must lie in [0, 1]")
+        bad = np.flatnonzero(~((vals >= 0.0) & (vals <= tau)))  # NaN fails both
+        if bad.size:
+            h = bad[0] + 1
+            raise ParameterError(f"lagged product tau({h}) = {vals[h - 1]} must lie in [0, {tau}]")
         self.tau = float(tau)
         self._vals = vals
 

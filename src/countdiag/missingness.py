@@ -55,6 +55,8 @@ def estimate_r(mask) -> float:
 
     Raises
     ------
+    ParameterError
+        If the mask is shorter than two or holds an entry other than 0 and 1.
     DegenerateSeriesError
         If the mask is constant; dependence is then undefined and the
         conventional override is r = 0.
@@ -62,6 +64,10 @@ def estimate_r(mask) -> float:
     m = np.asarray(mask, dtype=np.float64)
     if m.size < 2:
         raise ParameterError("mask must contain at least two elements")
+    bad = np.flatnonzero((m != 0.0) & (m != 1.0))
+    if bad.size:
+        i = bad[0]
+        raise ParameterError(f"mask entry {m[i]:g} at position {i} (0-based) is neither 0 nor 1")
     mbar = m.mean()
     den = ((m - mbar) ** 2).sum() / m.size
     if den == 0.0:
@@ -93,7 +99,7 @@ def dr_autocovariance(series: CountSeries, max_lag: int) -> np.ndarray:
     fully observed series entry 0 is the ordinary biased sample variance.
     """
     T = series.T
-    if not 0 <= max_lag < T:
+    if _check("max lag", max_lag, "order") >= T:
         raise ParameterError(f"max lag must lie in [0, {T - 1}], got {max_lag}")
     muhat = _observed_mean(series)
     d = series.values.astype(np.float64)
@@ -112,7 +118,7 @@ def dr_acf(series: CountSeries, max_lag: int) -> AcfEstimate:
     critical bands.
     """
     T = series.T
-    if not 1 <= max_lag < T:
+    if _check("max lag", max_lag, "lag") >= T:
         raise ParameterError(f"max lag must lie in [1, {T - 1}], got {max_lag}")
     acov = dr_autocovariance(series, max_lag)
     if acov[0] <= 0.0:
@@ -131,6 +137,8 @@ def durbin_levinson_pacf(acf_values) -> np.ndarray:
 
     Raises
     ------
+    ParameterError
+        If an autocorrelation is not finite; the message names its lag.
     NumericalDegeneracyError
         If a step produces |phi_kk| >= 1 or a non-positive prediction-error
         term, i.e. the implied Toeplitz system is singular.
@@ -138,6 +146,10 @@ def durbin_levinson_pacf(acf_values) -> np.ndarray:
     rho = np.asarray(acf_values, dtype=np.float64)
     if rho.ndim != 1 or rho.size < 1:
         raise ParameterError("need a one-dimensional sequence of at least one lag")
+    bad = np.flatnonzero(~np.isfinite(rho))
+    if bad.size:
+        i = bad[0]
+        raise ParameterError(f"autocorrelation at lag {i + 1} is not finite, got {rho[i]}")
     L = rho.size
     pacf = np.empty(L)
     pacf[0] = rho[0]

@@ -18,6 +18,9 @@ _TAIL = 2.0**-53
 _BLOCK = 1 << 17
 #: Uniforms turned into Python floats at a time on the single-path route.
 _SCALARS = 4096
+#: Most entries a transition table may hold, K rows of cumulative and of
+#: guide cells (16 MiB); a model whose table would hold more has none.
+_TABLE = 1 << 21
 
 
 def _poisson_pmf(lam: float, size: int) -> np.ndarray:
@@ -42,24 +45,19 @@ def _guide_cells(J: int) -> int:
     return 1 << (4 * J - 1).bit_length()
 
 
-def _fits(K: int, J: int, cells: int) -> bool:
-    """Whether K rows over J states, cumulative and guide, hold at most ``cells`` entries."""
-    return 2 * K * _guide_cells(J) <= cells
-
-
-def _poisson_rows(mu: float, rho: float, cells: int):
+def _poisson_rows(mu: float, rho: float):
     """PoINAR(1) transition pmf rows, Bin(k, rho) * Poi(mu(1-rho)) over 0..J-1
-    for the states k < K, or None if their table would not fit ``cells``.
+    for the states k < K, or None if their table would not fit _TABLE.
 
     K leaves out less than _TAIL of the stationary Poi(mu); a row thins at
     most K - 1 counts, so J leaves out less than _TAIL of each row.
     """
-    if 8.0 * mu * mu > cells:  # K > mu and M >= 4K: no table fits, so skip finding K
+    if 8.0 * mu * mu > _TABLE:  # K > mu and M >= 4K: no table fits, so skip finding K
         return None
     lam = mu * (1.0 - rho)
     K = _poisson_cut(mu)
     J = K - 1 + _poisson_cut(lam)
-    if not _fits(K, J, cells):
+    if 2 * K * _guide_cells(J) > _TABLE:
         return None
     return _thinned(_poisson_pmf(lam, J), rho, K)
 
@@ -75,11 +73,11 @@ def _thinned(first: np.ndarray, p: float, K: int) -> np.ndarray:
     return rows
 
 
-def _binomial_rows(n: int, alpha: float, beta: float, cells: int):
+def _binomial_rows(n: int, alpha: float, beta: float):
     """BAR(1) transition pmf rows, Bin(k, alpha) * Bin(n-k, beta) over 0..n
-    for every state k <= n, or None if their table would not fit ``cells``."""
+    for every state k <= n, or None if their table would not fit _TABLE."""
     N = n + 1
-    if not _fits(N, N, cells):
+    if 2 * N * _guide_cells(N) > _TABLE:
         return None
     one = np.eye(1, N)[0]  # the pmf of 0
     thin, head = _thinned(one, alpha, N), _thinned(one, beta, N)[::-1]
@@ -120,22 +118,16 @@ def _inversion_table(pmf: np.ndarray) -> _Table:
 
 
 def _exact_paths(x, T: int, step) -> np.ndarray:
-    """Rows of int64 paths x_0..x_{T-1} with x_t = step(x_{t-1}, t).
+    """Rows of int64 paths x_0..x_{T-1} with x_t = step(x_{t-1}).
 
-    ``x`` holds x_0 of each path, or is a scalar for one path, whose draws are
-    then scalars: numpy yields the same stream as for size-1 arrays, and a
-    list stores scalars faster than an array row.
+    ``x`` holds x_0 of each path, or is a Python int for one path, whose draws
+    are then scalars: numpy yields the same stream as for size-1 arrays, and
+    scalar draws are much faster.
     """
-    scalar = np.ndim(x) == 0
-    out = np.empty((np.size(x), T), dtype=np.int64)
-    steps = [0] * T if scalar else out.T
-    steps[0] = x
-    for t in range(1, T):
-        x = step(x, t)
-        steps[t] = x
-    if scalar:
-        out[0] = steps
-    return out
+    steps = [x]
+    for _ in range(1, T):
+        steps.append(x := step(x))
+    return np.array(steps, dtype=np.int64).reshape(T, -1).T.copy()
 
 
 def _inverted_path(x, T: int, rng, table: _Table, step) -> np.ndarray:
@@ -143,7 +135,6 @@ def _inverted_path(x, T: int, rng, table: _Table, step) -> np.ndarray:
     one-row vectorised route, read _SCALARS at a time."""
     K, M, cdf, guide, _ = table
     cdf, guide = cdf.tolist(), guide.tolist()
-    x = int(x)
     path = [x]
     for t in range(1, T, _BLOCK):
         block = rng.random(min(_BLOCK, T - t))
@@ -156,7 +147,7 @@ def _inverted_path(x, T: int, rng, table: _Table, step) -> np.ndarray:
                         at += 1
                     x = at - base
                 else:
-                    x = int(step(np.array([x]))[0])
+                    x = step(x)
                 path.append(x)
     return np.array([path], dtype=np.int64)
 
@@ -197,22 +188,23 @@ def _inverted_paths(x: np.ndarray, T: int, rng, table: _Table, step) -> np.ndarr
     return out
 
 
-def _paths(x, T: int, rng, rows, step, exact) -> np.ndarray:
+def _paths(x, T: int, rng, rows, step) -> np.ndarray:
     """Rows of int64 paths x_0..x_{T-1} of a count Markov chain.
 
     ``x`` holds x_0 of each path, or is a scalar for one path.  A step
     inverts the transition CDF of the previous state: x_t is the least j with
     u < F(j | x_{t-1}), for one uniform u per path and step, drawn _BLOCK at a
-    time.  ``rows(cells)`` gives the transition pmf of the states below some
-    K, or None when its table would hold more entries than the ``cells`` of
-    the path array; then ``exact(x, T)`` draws the paths with the model's
-    exact two-draw step, as earlier builds did.  A state at or above K takes
-    that step alone: ``step(x)`` for an array of such states.  One path runs
-    in Python scalars, with the stream of the one-row vectorised route.
+    time.  ``rows()`` gives the transition pmf of the states below some K, or
+    None for a model whose table would not fit _TABLE; then every step is the
+    model's exact two-draw step ``step(x)``, for an array of states or one
+    Python int, as is a step from a state at or above K.  One path runs in
+    Python scalars, with the stream of the one-row vectorised route.  As the
+    model alone picks the route, a path is the first T steps of the same
+    seed's longer one, unless a state at or above K occurs before T.
     """
-    pmf = rows(np.size(x) * T) if T > 1 else None
+    pmf = rows() if T > 1 else None
     if pmf is None:
-        return exact(x, T)
+        return _exact_paths(x, T, step)
     table = _inversion_table(pmf)
     if np.ndim(x) == 0:
         return _inverted_path(x, T, rng, table, step)
@@ -220,33 +212,23 @@ def _paths(x, T: int, rng, rows, step, exact) -> np.ndarray:
 
 
 def _poisson_chain(mu: float, rho: float, rng):
-    """The PoINAR(1) transition as ``_paths`` takes it: (rows, step, exact)."""
+    """The PoINAR(1) transition as ``_paths`` takes it: (rows, step)."""
     lam = mu * (1.0 - rho)
 
-    def exact(x, T):  # thin each count and add an innovation; all innovations at once
-        eps = rng.poisson(lam, size=(np.size(x), T - 1))
-        eps = eps[0].tolist() if np.ndim(x) == 0 else eps.T
-        return _exact_paths(x, T, lambda x, t: rng.binomial(x, rho) + eps[t - 1])
+    def step(x):  # thin each count and add an innovation
+        return rng.binomial(x, rho) + rng.poisson(lam, size=np.shape(x) or None)
 
-    return (
-        lambda cells: _poisson_rows(mu, rho, cells),
-        lambda x: rng.binomial(x, rho) + rng.poisson(lam, size=x.shape),
-        exact,
-    )
+    return lambda: _poisson_rows(mu, rho), step
 
 
 def _binomial_chain(n: int, pi: float, rho: float, rng):
-    """The BAR(1) transition as ``_paths`` takes it: (rows, step, exact)."""
+    """The BAR(1) transition as ``_paths`` takes it: (rows, step)."""
     alpha, beta = _thinnings(pi, rho)
 
     def step(x):  # thin the count with alpha and the head room n - x with beta
         return rng.binomial(x, alpha) + rng.binomial(n - x, beta)
 
-    return (
-        lambda cells: _binomial_rows(n, alpha, beta, cells),
-        step,
-        lambda x, T: _exact_paths(x, T, lambda x, t: step(x)),
-    )
+    return lambda: _binomial_rows(n, alpha, beta), step
 
 
 def _poisson_paths(mu: float, rho: float, T: int, count: int, rng) -> np.ndarray:

@@ -440,3 +440,17 @@ class TestSequenceMaskLaw:
             SequenceMaskLaw(0.8, [1.2])
         with pytest.raises(ParameterError):
             SequenceMaskLaw(1.2, [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_product_named(self, bad):
+        # such a product would make the lag sums, and so variance and bias, NaN
+        want = r"^lagged product tau\(2\) = (nan|inf) must lie in \[0, 0\.8\]$"
+        with pytest.raises(ParameterError, match=want):
+            SequenceMaskLaw(0.8, [0.7, bad])
+
+    def test_product_above_tau_named(self):
+        # E[O_t O_{t+h}] <= E[O_t] = tau
+        want = r"^lagged product tau\(1\) = 0\.9 must lie in \[0, 0\.8\]$"
+        with pytest.raises(ParameterError, match=want):
+            SequenceMaskLaw(0.8, [0.9])
+        assert SequenceMaskLaw(0.8, [0.8, 0.0]).lagged_product(1) == 0.8

@@ -71,6 +71,11 @@ class TestEstimateR:
         with pytest.raises(ParameterError):
             estimate_r([1])
 
+    @pytest.mark.parametrize("mask", [[1, 0, 2, 1], [1, 0, 0.5, 1], [1, 0, np.nan, 1]])
+    def test_non_binary_entry_named(self, mask):
+        with pytest.raises(ParameterError, match=r"at position 2 \(0-based\) is neither 0 nor 1"):
+            estimate_r(mask)
+
 
 class TestDrAutocovariance:
     @settings(max_examples=300, deadline=None)
@@ -109,6 +114,13 @@ class TestDrAutocovariance:
         for max_lag in (-1, 3):
             with pytest.raises(ParameterError):
                 dr_autocovariance(s, max_lag)
+
+    def test_lag_type(self):
+        s = CountSeries([1, 2, 3, 5])
+        for max_lag in (True, False, 2.0):
+            with pytest.raises(ParameterError, match="max lag must be an integer >= 0"):
+                dr_autocovariance(s, max_lag)
+        assert np.array_equal(dr_autocovariance(s, np.int64(2)), dr_autocovariance(s, 2))
 
     def test_all_masked_rejected(self):
         s = CountSeries([1, 2, 3], [0, 0, 0])
@@ -187,6 +199,14 @@ class TestDrAcf:
         with pytest.raises(DegenerateSeriesError):
             dr_acf(CountSeries([2, 2, 2, 2]), 1)
 
+    def test_lag_type(self):
+        s = CountSeries([3, 1, 4, 1, 5])
+        for max_lag in (True, 2.0, 0):
+            with pytest.raises(ParameterError, match="max lag must be an integer >= 1"):
+                dr_acf(s, max_lag)
+        est = dr_acf(s, np.int64(2))
+        assert np.array_equal(est.rho_hat, dr_acf(s, 2).rho_hat)
+
     @pytest.mark.parametrize("tau,r", [(1.0, 0.0), (0.8, 0.6), (0.4, 0.3)])
     def test_equals_per_lag_reference_exactly(self, tau, r):
         T = 5000
@@ -252,6 +272,11 @@ class TestDurbinLevinson:
     def test_unit_partial_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
             durbin_levinson_pacf([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_autocorrelation_named(self, bad):
+        with pytest.raises(ParameterError, match="autocorrelation at lag 2 is not finite"):
+            durbin_levinson_pacf([0.5, bad, 0.1])
 
     @settings(max_examples=60, deadline=None)
     @given(rho=st.floats(0.05, 0.95))

@@ -129,10 +129,9 @@ class TestBar1Simulator:
         with pytest.raises(ParameterError, match=r"^rho=-0\.05949407634450964 rounds the thinning"):
             Bar1(10, 0.056153288322080525, -0.05949407634450964)
 
-    def test_rho_one_ulp_inside_the_bound(self):
-        # each model is either rejected or simulated on both routes of the kernel
-        assert _binomial_rows(10, 0.5, 0.5, 50) is None
-        assert _binomial_rows(10, 0.5, 0.5, 20_000) is not None
+    def test_rho_one_ulp_inside_the_bound(self, monkeypatch):
+        # each model is either rejected or simulated on both routes of the
+        # kernel: with no table (a budget of 0 entries) and with its table
         rejected = 0
         for pi in [0.056153288322080525, *np.random.default_rng(5).random(300).tolist()]:
             rho = math.nextafter(max(-pi / (1.0 - pi), -(1.0 - pi) / pi), 1.0)
@@ -141,7 +140,9 @@ class TestBar1Simulator:
             except ParameterError:
                 rejected += 1
                 continue
-            for T in (50, 20_000):
+            for table, T in ((0, 50), (simulate._TABLE, 20_000)):
+                monkeypatch.setattr(simulate, "_TABLE", table)
+                assert (_binomial_rows(10, 0.5, 0.5) is None) == (table == 0)
                 x = simulate_bar1(spec, T, Seed(1)).values
                 assert x.min() >= 0 and x.max() <= 10
         assert 1 <= rejected < 30
@@ -155,41 +156,40 @@ class TestPinnedStreams:
     """Recorded draws of fixed seeds, so that a kernel change that moves a
     stream fails here rather than only shifting Monte Carlo columns."""
 
-    # Each path pin runs a short path, below the size of its transition table,
-    # on the exact two-draw step (the draws of earlier builds), and a long one
-    # on the inversion table.
+    # The PoINAR(1) pins run a large mu, whose model has no transition table,
+    # on the exact two-draw step, and mu = 3 on the inversion table; the
+    # BAR(1) pins run a short and a long path on the table.
 
     def test_poi_inar1_single_path(self):
-        assert _poisson_rows(3.0, 0.5, 500) is None
-        x = simulate_poi_inar1(PoiInar1(3, 0.5), 500, Seed(7)).values
-        assert x[:20].tolist() == [4, 3, 5, 4, 4, 4, 1, 2, 0, 2, 3, 1, 1, 1, 1, 2, 3, 6, 7, 4]
-        assert _sha256(x) == "39460d267a1d7e7e7c29d4162ba945dbe7c70df42004f271238975beb0807b78"
-        assert _poisson_rows(3.0, 0.5, 20_000) is not None
+        assert _poisson_rows(5000.0, 0.5) is None
+        x = simulate_poi_inar1(PoiInar1(5000, 0.5), 500, Seed(7)).values
+        assert x[:8].tolist() == [5025, 4931, 4952, 4949, 4939, 5023, 5036, 5033]
+        assert _sha256(x) == "c25e3083c36a38054d923f46d857ea3324246f33371d826d6262d88ccf3a2840"
+        assert _poisson_rows(3.0, 0.5) is not None
         x = simulate_poi_inar1(PoiInar1(3, 0.5), 20_000, Seed(7)).values
         assert x[:20].tolist() == [4, 5, 0, 3, 4, 3, 2, 2, 2, 2, 2, 3, 7, 6, 5, 8, 4, 2, 3, 1]
         assert _sha256(x) == "8f7dec0df926f77d45f290057cf0171566c303484d1b802b4781847942f8c32e"
 
     def test_bar1_single_path(self):
         alpha, beta = 0.3 * 0.5 + 0.5, 0.3 * 0.5
-        assert _binomial_rows(10, alpha, beta, 500) is None
+        assert _binomial_rows(10, alpha, beta) is not None
         x = simulate_bar1(Bar1(10, 0.3, 0.5), 500, Seed(7)).values
-        assert x[:20].tolist() == [3, 3, 3, 1, 2, 2, 2, 2, 5, 3, 0, 0, 2, 2, 2, 1, 2, 2, 4, 3]
-        assert _sha256(x) == "a0d183bef29abb5ba6b5e95f1ee09df4bf22ca0983f41d1c71562a09d9d174ca"
-        assert _binomial_rows(10, alpha, beta, 5000) is not None
+        assert x[:20].tolist() == [3, 5, 5, 3, 2, 4, 0, 3, 4, 3, 2, 2, 2, 2, 2, 3, 6, 6, 5, 7]
+        assert _sha256(x) == "30e95fe830e56e07fe1c4bd5f7784a844d8985aac89b5749c1cc5c64ed2a1ea3"
         x = simulate_bar1(Bar1(10, 0.3, 0.5), 5000, Seed(7)).values
         assert x[:20].tolist() == [3, 5, 5, 3, 2, 4, 0, 3, 4, 3, 2, 2, 2, 2, 2, 3, 6, 6, 5, 7]
         assert _sha256(x) == "27fe97e8d0ce7adb8cc1c18320c6caabcb3a388c1e34e2a67e982f9696fb7a41"
 
     def test_batched_paths(self):
         x = _poisson_paths(3.0, 0.5, 200, 3, np.random.default_rng(7))
-        assert x[:, :4].tolist() == [[4, 2, 5, 4], [1, 2, 2, 4], [4, 4, 0, 5]]
-        assert _sha256(x) == "a371c0bf9bf5485d53e1b61365a3e9740010c511155250cf47639a44fa8b2080"
+        assert x[:, :4].tolist() == [[4, 2, 3, 3], [1, 2, 7, 9], [4, 3, 4, 2]]
+        assert _sha256(x) == "c53dd08e5ab9212d9b029820eba02bd0111c54cc16d2cb8ee26ada3aaaa6eeae"
         x = _poisson_paths(3.0, 0.5, 5000, 64, np.random.default_rng(7))  # three blocks
         assert x[:4, :4].tolist() == [[4, 1, 6, 3], [1, 3, 1, 2], [4, 4, 4, 5], [3, 2, 4, 5]]
         assert _sha256(x) == "e9176100b3837215a3fbc0d4218ef3a19d74cb6d16d5638974655ec97e8a165d"
         y = _binomial_paths(10, 0.3, 0.5, 200, 3, np.random.default_rng(7))
-        assert y[:, :4].tolist() == [[3, 3, 2, 2], [5, 5, 5, 3], [4, 3, 3, 1]]
-        assert _sha256(y) == "685f62f4e22e661d7c4c46138721d970c091f025020b8d245261ccba6a504880"
+        assert y[:, :4].tolist() == [[3, 2, 0, 1], [5, 3, 4, 3], [4, 5, 5, 3]]
+        assert _sha256(y) == "2a008948043a9d1cb19ab07e0c12e1cc327b53964e5b5c04a5c96d43f075d488"
         y = _binomial_paths(10, 0.3, 0.5, 1000, 256, np.random.default_rng(7))  # two blocks
         assert y[:4, :4].tolist() == [[3, 1, 0, 2], [5, 5, 5, 4], [4, 4, 5, 6], [2, 2, 2, 4]]
         assert _sha256(y) == "945836341f777d4cd95db21a045adabb08fe50da10f48b66b4ebb417b09aa078"
@@ -435,15 +435,15 @@ def oracle_paths(model, x0, u):
 
 
 def model_kernel(model, rng):
-    """The (rows, step, exact) that the model's path function hands to _paths."""
+    """The (rows, step) that the model's path function hands to _paths."""
     if model[0] == "poisson":
         return simulate._poisson_chain(*model[1:], rng)
     return simulate._binomial_chain(*model[1:], rng)
 
 
 def model_rows(model):
-    """The full transition table rows of ``model``, whatever their size."""
-    return model_kernel(model, None)[0](10**12)
+    """The transition table rows of ``model``."""
+    return model_kernel(model, None)[0]()
 
 
 class TestInversionOracle:
@@ -465,7 +465,7 @@ class TestInversionOracle:
         ],
     )
     def test_paths_equal_the_oracle(self, model, T, count):
-        assert model_kernel(model, None)[0](count * T) is not None  # the table route
+        assert model_rows(model) is not None  # the table route
         size = None if count == 1 else count
         if model[0] == "poisson":
             got = _poisson_paths(*model[1:], T, count, np.random.default_rng(5))
@@ -544,8 +544,8 @@ class TestKernelRoutes:
         model = ("poisson", 3.0, 0.5)
         cut = model_rows(model)[:3]
         rng = np.random.default_rng(17)
-        _, step, exact = model_kernel(model, rng)
-        paths = simulate._paths(np.tile([1, 6], 5000), 30, rng, lambda cells: cut, step, exact)
+        _, step = model_kernel(model, rng)
+        paths = simulate._paths(np.tile([1, 6], 5000), 30, rng, lambda: cut, step)
         for state in (1, 6):  # through the table and through the exact step
             after = transitions_from(paths, state)
             assert after.size > 10_000
@@ -586,15 +586,16 @@ class TestKernelRoutes:
         got = []
         for x in (x0, np.array([x0])):
             rng = np.random.default_rng(23)
-            rows, step, exact = model_kernel(model, rng)
-            got.append(simulate._paths(x, T, rng, lambda cells: rows(cells)[:cut], step, exact))
+            rows, step = model_kernel(model, rng)
+            got.append(simulate._paths(x, T, rng, lambda: rows()[:cut], step))
         assert np.array_equal(got[0], got[1])
         if cut is not None:
             assert np.count_nonzero(got[0] >= cut) > 100
 
-    @pytest.mark.parametrize("model", [("poisson", 3.0, 0.5), ("binomial", 10, 0.3, 0.5)])
+    @pytest.mark.parametrize("model", [("poisson", 5000.0, 0.5), ("binomial", 600, 0.3, 0.5)])
     def test_exact_route_one_row_equals_scalar(self, model, monkeypatch):
-        # T is below the table size, so both take the exact two-draw step
+        # the model has no table, so both take the exact two-draw step
+        assert model_rows(model) is None
         monkeypatch.setattr(simulate, "_inversion_table", _fail)
         got = []
         for x in (4, np.array([4])):
@@ -602,6 +603,16 @@ class TestKernelRoutes:
             got.append(simulate._paths(x, 50, rng, *model_kernel(model, rng)))
         assert got[0].shape == got[1].shape == (1, 50)
         assert np.array_equal(got[0], got[1])
+
+    @pytest.mark.parametrize("count", [1, 64])
+    @pytest.mark.parametrize(
+        "model", [("poisson", 3.0, 0.5), ("binomial", 10, 0.3, 0.5), ("poisson", 5000.0, 0.5)]
+    )
+    def test_short_path_is_the_prefix_of_a_long_one(self, model, count):
+        # the route, and so the stream, depends on the model alone, not on T
+        draw = _poisson_paths if model[0] == "poisson" else _binomial_paths
+        short, long = (draw(*model[1:], T, count, np.random.default_rng(31)) for T in (500, 20_000))
+        assert np.array_equal(short, long[:, :500])
 
 
 def _fail(*args):
