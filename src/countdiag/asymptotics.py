@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, NumericalDegeneracyError, ParameterError
-from .series import _check
+from .series import _check, _integer
 
 #: Observation probabilities below this are rejected as numerically meaningless.
 MIN_TAU = 0.01
@@ -74,7 +74,7 @@ class SequenceMaskLaw:
         self._vals = vals
 
     def lagged_product(self, h: int) -> float:
-        h = abs(h)
+        h = abs(_integer("h", h))
         if h == 0:
             return self.tau
         if h <= self._vals.size:
@@ -176,6 +176,8 @@ def sigma_poisson_markov(
     i: int, j: int, mu: float, rho: float, tau: float, r: float
 ) -> float:
     """Closed-form sigma_ij for the Poisson AR family under a Markov mask."""
+    _check("i", i, "order")
+    _check("j", j, "order")
     _check("mu", mu)
     if i > j:
         i, j = j, i
@@ -205,6 +207,8 @@ def sigma_binomial_markov(
     i: int, j: int, n: int, pi: float, rho: float, tau: float, r: float
 ) -> float:
     """Closed-form sigma_ij for the binomial AR family under a Markov mask."""
+    _check("i", i, "order")
+    _check("j", j, "order")
     _check("n", n)
     _check("pi", pi)
     if i > j:

@@ -181,8 +181,12 @@ def acf_critical_band(tau_lag, T: int, alpha: float = 0.05) -> np.ndarray:
     _check("T", T)
     z = _two_sided_z(alpha)
     tl = np.asarray(tau_lag, dtype=np.float64)
-    if np.any(tl < 0.0) or np.any(tl > 1.0):
-        raise ParameterError("tau_lag entries must lie in [0, 1]")
+    if tl.ndim != 1:
+        raise ParameterError(f"tau_lag must be one-dimensional, got shape {tl.shape}")
+    bad = np.flatnonzero(~((tl >= 0.0) & (tl <= 1.0)))  # NaN fails both
+    if bad.size:
+        l = bad[0]
+        raise ParameterError(f"tau_lag must lie in [0, 1] at every lag, got {tl[l]} at lag {l}")
     with np.errstate(divide="ignore"):
         band = z / np.sqrt(T * tl)
     return np.where(tl == 0.0, np.nan, band)

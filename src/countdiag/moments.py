@@ -3,14 +3,13 @@ moments (univariate, joint, raw) for the two count families."""
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import _NONE_OBSERVED, CountSeries, _check
+from .series import _NONE_OBSERVED, CountSeries, _check, _integer
 
 
 class Tally:
@@ -165,9 +164,7 @@ class _ArMoments:
     def mixed(self, k: int, s: int, h: int) -> float:
         _check("k", k, "order")
         _check("s", s, "order")
-        if not (type(h) is int or isinstance(h, numbers.Integral) and not isinstance(h, bool)):
-            raise ParameterError(f"h must be an integer, got {h!r}")
-        if h < 0:
+        if _integer("h", h) < 0:
             k, s, h = s, k, -h
         if h == 0:
             u = self.univariate

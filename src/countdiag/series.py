@@ -65,6 +65,14 @@ def _check(name: str, value, domain: str = None):
     raise ParameterError(f"{name} must be {wanted}, got {shown}")
 
 
+def _integer(name: str, value):
+    """``value`` if it is an integral number other than a bool, of either sign,
+    else a ParameterError naming ``name``."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return value
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _as_1d_int64(x, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1:
@@ -232,7 +240,7 @@ class MissingSpec:
 
     def lagged_product(self, h: int) -> float:
         """E[O_t O_{t+h}] = tau**2 + tau*(1-tau)*r**h (equals tau at h = 0)."""
-        return self.tau**2 + self.tau * (1.0 - self.tau) * self.r ** abs(h)
+        return self.tau**2 + self.tau * (1.0 - self.tau) * self.r ** abs(_integer("h", h))
 
 
 @dataclass(frozen=True)

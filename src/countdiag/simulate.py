@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -104,14 +105,19 @@ class _Table(NamedTuple):
     closed: bool
 
 
+def _cumulative(pmf: np.ndarray) -> np.ndarray:
+    """The cumulative rows of one pmf row or of K rows, capped at 1.0, ending at 1.0."""
+    cdf = np.minimum(np.cumsum(pmf, axis=-1), 1.0)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
 def _inversion_table(pmf: np.ndarray) -> _Table:
     """The _Table of a K x J transition pmf, with M = _guide_cells(J)."""
     K, J = pmf.shape
     M = _guide_cells(J)
     cdf = np.ones((K, M))
-    np.cumsum(pmf, axis=1, out=cdf[:, :J])
-    np.minimum(cdf, 1.0, out=cdf)
-    cdf[:, J - 1] = 1.0
+    cdf[:, :J] = _cumulative(pmf)
     cells = np.arange(M) / M
     guide = [np.searchsorted(row, cells, side="right") + k * M for k, row in enumerate(cdf)]
     return _Table(K, M, cdf.ravel(), np.concatenate(guide), J <= K)
@@ -130,22 +136,21 @@ def _exact_paths(x, T: int, step) -> np.ndarray:
     return np.array(steps, dtype=np.int64).reshape(T, -1).T.copy()
 
 
-def _inverted_path(x, T: int, rng, table: _Table, step) -> np.ndarray:
+def _inverted_path(x, T: int, rng, pmf: np.ndarray, step) -> np.ndarray:
     """One path by inversion in Python scalars, from the uniforms of the
-    one-row vectorised route, read _SCALARS at a time."""
-    K, M, cdf, guide, _ = table
-    cdf, guide = cdf.tolist(), guide.tolist()
+    one-row vectorised route, read _SCALARS at a time.  Each step searches
+    the cumulative row of its state with bisect, as a list built on the
+    state's first visit; a state with no row takes ``step(x)``."""
+    rows = [None] * len(pmf)
     path = [x]
     for t in range(1, T, _BLOCK):
         block = rng.random(min(_BLOCK, T - t))
         for i in range(0, block.size, _SCALARS):
             for u in block[i : i + _SCALARS].tolist():
-                if x < K:
-                    base = x * M
-                    at = guide[base + int(u * M)]
-                    while cdf[at] <= u:
-                        at += 1
-                    x = at - base
+                if x < len(rows):
+                    if rows[x] is None:
+                        rows[x] = _cumulative(pmf[x]).tolist()
+                    x = bisect_right(rows[x], u)
                 else:
                     x = step(x)
                 path.append(x)
@@ -205,10 +210,9 @@ def _paths(x, T: int, rng, rows, step) -> np.ndarray:
     pmf = rows() if T > 1 else None
     if pmf is None:
         return _exact_paths(x, T, step)
-    table = _inversion_table(pmf)
     if np.ndim(x) == 0:
-        return _inverted_path(x, T, rng, table, step)
-    return _inverted_paths(x, T, rng, table, step)
+        return _inverted_path(x, T, rng, pmf, step)
+    return _inverted_paths(x, T, rng, _inversion_table(pmf), step)
 
 
 def _poisson_chain(mu: float, rho: float, rng):

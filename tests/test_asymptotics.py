@@ -161,6 +161,19 @@ class TestMarkovSigmaRelations:
         with pytest.raises(ParameterError):
             sigma_poisson_markov(4, 4, 3.0, 0.5, 0.8, 0.0)
 
+    @pytest.mark.parametrize("i, j, name", [(True, True, "i"), (1.0, 1, "i"), (1, 2.0, "j")])
+    def test_order_type(self, i, j, name):
+        # the rule of clt_sigma_general, which these closed forms are the oracle of
+        want = f"^{name} must be an integer >= 0, got "
+        with pytest.raises(ParameterError, match=want):
+            sigma_poisson_markov(i, j, 3.0, 0.5, 0.8, 0.3)
+        with pytest.raises(ParameterError, match=want):
+            sigma_binomial_markov(i, j, 10, 0.3, 0.5, 0.8, 0.3)
+        with pytest.raises(ParameterError, match=want):
+            clt_sigma_general(i, j, PoissonArMoments(3.0, 0.5), MissingSpec(0.8, 0.3))
+        s11 = sigma_poisson_markov(1, 1, 3.0, 0.5, 0.8, 0.3)
+        assert sigma_poisson_markov(np.int64(1), np.int64(1), 3.0, 0.5, 0.8, 0.3) == s11
+
 
 class TestPoissonDispersionAsymptotics:
     def test_published_point(self):
@@ -454,3 +467,11 @@ class TestSequenceMaskLaw:
         with pytest.raises(ParameterError, match=want):
             SequenceMaskLaw(0.8, [0.9])
         assert SequenceMaskLaw(0.8, [0.8, 0.0]).lagged_product(1) == 0.8
+
+    @pytest.mark.parametrize("h", [1.0, 1.5, True])
+    def test_lag_type(self, h):
+        # an integral float is still no index into the supplied products
+        law = SequenceMaskLaw(0.8, [0.7])
+        with pytest.raises(ParameterError, match=f"^h must be an integer, got {h!r}$"):
+            law.lagged_product(h)
+        assert law.lagged_product(np.int64(-1)) == 0.7

@@ -310,6 +310,18 @@ class TestCriticalBand:
         with pytest.raises(ParameterError):
             acf_critical_band([0.5], 100, alpha=1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_bad_entry_names_its_lag(self, bad):
+        # a NaN entry would give a NaN half-width, read as tau_lag = 0
+        want = rf"^tau_lag must lie in \[0, 1\] at every lag, got {bad} at lag 1$"
+        with pytest.raises(ParameterError, match=want):
+            acf_critical_band([1.0, bad, 0.5], 100)
+
+    @pytest.mark.parametrize("tau_lag", [0.5, [[1.0, 0.5]]])
+    def test_not_one_dimensional(self, tau_lag):
+        with pytest.raises(ParameterError, match=r"^tau_lag must be one-dimensional, got shape"):
+            acf_critical_band(tau_lag, 100)
+
 
 class TestTwoSidedZ:
     @settings(max_examples=300, deadline=None)

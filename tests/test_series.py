@@ -123,6 +123,14 @@ class TestMissingSpec:
         with pytest.raises(ParameterError):
             MissingSpec(tau, r)
 
+    @pytest.mark.parametrize("h", [1.5, 1.0, True, "1"])
+    def test_lag_type(self, h):
+        # r**1.5 would pass for a lagged product of no lag
+        with pytest.raises(ParameterError, match=f"^h must be an integer, got {re.escape(repr(h))}$"):
+            MissingSpec(0.8, 0.3).lagged_product(h)
+        spec = MissingSpec(0.8, 0.3)
+        assert spec.lagged_product(np.int64(-2)) == spec.lagged_product(2)
+
 
 class TestSeed:
     def test_generator_reproducible(self):

@@ -462,6 +462,7 @@ class TestInversionOracle:
             (("binomial", 25, 0.12, -0.1), 2000, 4),
             (("binomial", 2, 0.7, -0.4), 300, 4),
             (("binomial", 8, 0.55, 0.8), 3000, 1),
+            (("poisson", 60.0, 0.5), 2000, 1),  # a large table, few of its rows visited
         ],
     )
     def test_paths_equal_the_oracle(self, model, T, count):
@@ -573,7 +574,13 @@ class TestKernelRoutes:
     @pytest.mark.parametrize("blocks", [None, (1000, 64)])
     @pytest.mark.parametrize("cut", [None, 3])
     @pytest.mark.parametrize(
-        "model, T", [(("poisson", 3.0, 0.5), 20_000), (("binomial", 10, 0.3, 0.5), 5000)]
+        "model, T",
+        [
+            (("poisson", 3.0, 0.5), 20_000),
+            (("binomial", 10, 0.3, 0.5), 5000),
+            (("poisson", 60.0, 0.5), 5000),
+            (("binomial", 400, 0.3, 0.5), 2000),
+        ],
     )
     def test_scalar_route_equals_batched_route(self, model, T, cut, blocks, monkeypatch):
         # with the table cut to three states, exact draws interleave with the
@@ -591,6 +598,16 @@ class TestKernelRoutes:
         assert np.array_equal(got[0], got[1])
         if cut is not None:
             assert np.count_nonzero(got[0] >= cut) > 100
+
+    @pytest.mark.parametrize("model", [("poisson", 3.0, 0.5), ("binomial", 10, 0.3, 0.5)])
+    def test_single_path_builds_no_guide_table(self, model, monkeypatch):
+        # the guide table serves chunks; one path searches the rows it visits
+        assert model_rows(model) is not None
+        rng = np.random.default_rng(37)
+        want = simulate._paths(np.array([4]), 2000, rng, *model_kernel(model, rng))
+        monkeypatch.setattr(simulate, "_inversion_table", _fail)
+        rng = np.random.default_rng(37)
+        assert np.array_equal(simulate._paths(4, 2000, rng, *model_kernel(model, rng)), want)
 
     @pytest.mark.parametrize("model", [("poisson", 5000.0, 0.5), ("binomial", 600, 0.3, 0.5)])
     def test_exact_route_one_row_equals_scalar(self, model, monkeypatch):
