@@ -103,8 +103,9 @@ def _cmd_simulate(args) -> int:
         mu = 3.0 if args.mu is None else args.mu
         series = simulate_poi_inar1(PoiInar1(mu, args.rho), args.length, seed)
     else:
-        if args.n is None or args.pi is None:
-            raise CountDiagError("binomial model requires --n and --pi")
+        absent = [f"--{flag}" for flag in ("n", "pi") if getattr(args, flag) is None]
+        if absent:
+            raise ParameterError(f"binomial model requires {' and '.join(absent)}")
         series = simulate_bar1(Bar1(args.n, args.pi, args.rho), args.length, seed)
     if missing.tau < 1.0:
         mask = simulate_markov_mask(missing, args.length, Seed(args.seed, 1))

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import CountSeries, _check
+from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check
 from .moments import _observed_mean, sample_factorial_moments
 from .missingness import _two_sided_z, dr_acf, estimate_r
 from .asymptotics import (
@@ -162,10 +162,10 @@ class IndexKind:
     """One index of one null family: its estimator, closed form and CSV columns.
 
     ``formula`` reads the factorial moments ``muhat[k-1]`` up to ``order`` (any
-    further ones are ignored), and ``markov(marginal, rho, tau, r, T)`` is the
-    Markov closed form, which looks up its module-level target when called, so
-    a wrapper installed on it (a profiler, the benchmark's tracer) sees every
-    call.
+    further ones are ignored), and ``markov(model, law, T)`` is the Markov
+    closed form at a null model of the kind's family, a mask law and a length.
+    It looks up its module-level target when called, so a wrapper installed on
+    it (a profiler, the benchmark's tracer) sees every call.
     """
 
     family: str
@@ -201,19 +201,19 @@ class _KindTable(dict):
 INDEX_KINDS = _KindTable({
     KIND_POI_DISPERSION: IndexKind(
         FAMILY_POISSON, "disp", 2, _poisson_dispersion,
-        markov=lambda p, *dep: poi_dispersion_asym_markov(*p, *dep),
+        markov=lambda m, law, T: poi_dispersion_asym_markov(m.mu, m.rho, law.tau, law.r, T),
     ),
     KIND_BIN_DISPERSION: IndexKind(
         FAMILY_BINOMIAL, "disp", 2, _binomial_dispersion,
-        markov=lambda p, *dep: bin_dispersion_asym_markov(*p, *dep),
+        markov=lambda m, law, T: bin_dispersion_asym_markov(m.n, m.pi, m.rho, law.tau, law.r, T),
     ),
     KIND_POI_SKEWNESS: IndexKind(
         FAMILY_POISSON, "skew", 3, _skewness,
-        markov=lambda p, *dep: skew_asym_poisson_markov(*p, *dep),
+        markov=lambda m, law, T: skew_asym_poisson_markov(m.mu, m.rho, law.tau, law.r, T),
     ),
     KIND_BIN_SKEWNESS: IndexKind(
         FAMILY_BINOMIAL, "skew", 3, _skewness,
-        markov=lambda p, *dep: skew_asym_binomial_markov(*p, *dep),
+        markov=lambda m, law, T: skew_asym_binomial_markov(m.n, m.pi, m.rho, law.tau, law.r, T),
     ),
 })
 
@@ -223,14 +223,18 @@ def family_kinds(family: str) -> tuple:
     return tuple(k for k, spec in INDEX_KINDS.items() if spec.family == family)
 
 
-def marginal_params(family: str, mu: float, n: Optional[int] = None) -> tuple:
-    """The closed forms' marginal parameters from mean and bound: (mu,) or (n, mu / n)."""
+def _null_model(family: str, mu: float, rho: float, n: Optional[int] = None) -> ModelSpec:
+    """The AR(1) null of one family from its mean, its dependence in the closed
+    forms' domain [0, 1) and its bound: PoINAR(1) or BAR(1) with pi = mu / n."""
     _check("mu", mu)
+    _check("rho", rho)
     if family == FAMILY_POISSON:
         if n is not None:
             raise ParameterError(_N_POISSON)
-        return (mu,)
-    return (_check("n", n), mu / n)
+        return PoiInar1(mu, rho)
+    if not 0.0 < mu / _check("n", n) < 1.0:
+        raise ParameterError(f"mu={mu} incompatible with n={n}")
+    return Bar1(n, mu / n, rho)
 
 
 def fit_null_params(series: CountSeries, n: Optional[int] = None) -> FittedParams:
@@ -302,7 +306,7 @@ def test_from_params(
     if sided not in ("two", "upper", "lower"):
         raise ParameterError(f"sided must be 'two', 'upper' or 'lower', got {sided!r}")
     spec = INDEX_KINDS[f"{family}-{kind}"]  # first, so an unknown family fails as its kind
-    asym = spec.markov(marginal_params(family, mu, n), rho, tau, r, T)
+    asym = spec.markov(_null_model(family, mu, rho, n), MissingSpec(tau, r), T)
     z = _two_sided_z(alpha)
     lower = asym.mean - z * asym.sd
     upper = asym.mean + z * asym.sd

@@ -25,7 +25,7 @@ from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import Tally
 from .asymptotics import IndexAsymptotics
-from .diagnostics import _N_POISSON, INDEX_KINDS, family_kinds, marginal_params
+from .diagnostics import _N_POISSON, INDEX_KINDS, _null_model, family_kinds
 
 #: Replications are simulated in vectorized chunks of this many paths.  Per
 #: chunk index, each model's paths and each mask law's mask have their own
@@ -36,17 +36,25 @@ DEFAULT_CHUNK = 2048
 
 @dataclass(frozen=True)
 class Scenario:
-    """One Monte Carlo cell: a model, a mask law, a length and a seed."""
+    """One Monte Carlo cell: a model, a mask law, a length and a seed.
+
+    ``mu`` is the mean the cell was configured with, which its grid row
+    prints; it defaults to the model's mean, which for BAR(1) is n * pi and
+    need not give back the mu that pi = mu / n came from.
+    """
 
     model: ModelSpec
     missing: MissingSpec
     T: int
     replications: int
     master_seed: int
+    mu: Optional[float] = None
 
     def __post_init__(self):
         _check("T", self.T)
         _check("replications", self.replications)
+        if self.mu is None:
+            object.__setattr__(self, "mu", self.model.mean)
 
     @property
     def index_kinds(self) -> tuple:
@@ -191,8 +199,7 @@ def _chunk_plan(replications: int, chunk_size: int):
 
 def scenario_asymptotics(scenario: Scenario, kind: str) -> IndexAsymptotics:
     """Closed-form asymptotics matching one scenario's true parameters."""
-    m, missing = scenario.model, scenario.missing
-    return INDEX_KINDS[kind].markov(m.marginal, m.rho, missing.tau, missing.r, scenario.T)
+    return INDEX_KINDS[kind].markov(scenario.model, scenario.missing, scenario.T)
 
 
 def _aggregate(scenario: Scenario, chunk_results: Sequence[dict]) -> ScenarioResult:
@@ -279,8 +286,6 @@ class GridConfig:
     def __post_init__(self):
         if self.family not in ("poisson", "binomial"):
             raise ParameterError(f"unknown family {self.family!r}")
-        _check("mu", self.mu)
-        _check("rho", self.rho)
         _check("replications", self.replications)
         _check("master_seed", self.master_seed)
         axes = ["tau", "r", "T"] + (["n"] if self.family == "binomial" else [])
@@ -291,25 +296,28 @@ class GridConfig:
             for i, value in enumerate(values):
                 _check(key, value)
                 _check_once(key, value, values[:i])
-        if self.family == "binomial":
-            for n in self.n:
-                if not 0.0 < self.mu / n < 1.0:
-                    raise ParameterError(f"mu={self.mu} incompatible with n={n}")
+        self._models()
+
+    def _models(self) -> dict:
+        """The null model of each n, keyed None for a Poisson grid."""
+        ns = self.n if self.family == "binomial" else (None,)
+        return {n: _null_model(self.family, self.mu, self.rho, n) for n in ns}
 
     def scenarios(self) -> list:
         """Grid cells in stable row order: tau desc, r asc, T asc, n asc; cells
         whose values compare equal keep the order of the axes as listed."""
-        ns = self.n if self.family == "binomial" else (None,)
+        models = self._models()
         cells = sorted(
-            itertools.product(self.tau, self.r, self.T, ns), key=lambda c: (-c[0], *c[1:])
+            itertools.product(self.tau, self.r, self.T, models), key=lambda c: (-c[0], *c[1:])
         )
         return [
             Scenario(
-                model=PoiInar1(self.mu, self.rho) if n is None else Bar1(n, self.mu / n, self.rho),
+                model=models[n],
                 missing=MissingSpec(tau, r),
                 T=T,
                 replications=self.replications,
                 master_seed=self.master_seed,
+                mu=self.mu,
             )
             for tau, r, T, n in cells
         ]
@@ -375,7 +383,7 @@ def result_rows(results: Sequence[ScenarioResult]) -> list:
     for res in results:
         s, m = res.scenario, res.scenario.model
         row = dict(zip(_CELL_COLUMNS, (
-            m.family, m.n if isinstance(m, Bar1) else "", _real(m.mean), _real(m.rho),
+            m.family, m.n if isinstance(m, Bar1) else "", _real(s.mu), _real(m.rho),
             _real(s.missing.tau), _real(s.missing.r), s.T, s.replications,
         )))
         for kind, stat in res.stats.items():
@@ -443,11 +451,11 @@ def emit_curves(
     for i, r in enumerate(r_values):
         _check_once("r", r, r_values[:i])
     spec = INDEX_KINDS[kind]
-    marginal = marginal_params(spec.family, mu, n)
+    model = _null_model(spec.family, mu, rho, n)
     rows = []
     for r in r_values:
         for tau in taus:
-            asym = spec.markov(marginal, rho, float(tau), r, 1)
+            asym = spec.markov(model, MissingSpec(float(tau), r), 1)
             rows.append(dict(zip(_CURVE_COLUMNS, (
                 kind, float(tau), r, mu, "" if n is None else n, asym.variance, asym.bias
             ))))

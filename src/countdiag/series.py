@@ -116,7 +116,10 @@ class CountSeries:
         else:
             mask = _as_1d_int64(self.mask, "mask")
             if not np.all((mask == 0) | (mask == 1)):  # before int8 wraps 256 to 0
-                raise ParameterError("mask entries must be 0 or 1")
+                i = int(np.flatnonzero((mask != 0) & (mask != 1))[0])
+                raise ParameterError(
+                    f"mask entries must be 0 or 1, got {mask[i]} at position {i} (0-based)"
+                )
             self.mask = mask.astype(np.int8)
         if self.mask.shape != self.values.shape:
             raise ParameterError(
@@ -124,7 +127,11 @@ class CountSeries:
                 f"{self.values.size} and {self.mask.size}"
             )
         if np.any((self.values < 0) & (self.mask == 1)):
-            raise ParameterError("observed counts must be non-negative")
+            i = int(np.flatnonzero((self.values < 0) & (self.mask == 1))[0])
+            raise ParameterError(
+                f"observed counts must be non-negative, got {self.values[i]} at position {i} "
+                f"(0-based)"
+            )
 
     @property
     def T(self) -> int:
@@ -161,10 +168,6 @@ class PoiInar1:
     @property
     def mean(self) -> float:
         return self.mu
-
-    @property
-    def marginal(self) -> tuple:
-        return (self.mu,)
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,6 @@ class Bar1:
     @property
     def mean(self) -> float:
         return self.n * self.pi
-
-    @property
-    def marginal(self) -> tuple:
-        return (self.n, self.pi)
 
 
 def _thinnings(pi: float, rho: float) -> tuple:

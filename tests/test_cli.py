@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import countdiag
-from countdiag import load_series_csv
-from countdiag.cli import main
+from countdiag import ParameterError, load_series_csv
+from countdiag.cli import _cmd_simulate, build_parser, main
 from countdiag.harness import emit_curves, write_curves_csv
 
 
@@ -92,6 +92,19 @@ class TestSimulateCommand:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags, absent",
+        [(["--n", "8"], "--pi"), (["--pi", "0.3"], "--n"), ([], "--n and --pi")],
+    )
+    def test_binomial_names_each_missing_flag(self, tmp_path, capsys, flags, absent):
+        out = tmp_path / "series.csv"
+        argv = ["simulate", "--model", "binomial", *flags, "-T", "10", "--out", str(out)]
+        with pytest.raises(ParameterError, match=f"^binomial model requires {absent}$"):
+            _cmd_simulate(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: binomial model requires {absent}\n"
+        assert not out.exists()
 
 
 class TestDiagnoseCommand:
@@ -436,6 +449,14 @@ class TestCurvesCommand:
         rc = main(["curves", "--index", "poisson-dispersion", f"--r={r}", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: r must list each value once, got {again} again\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", ["binomial-dispersion", "binomial-skewness"])
+    def test_mean_at_or_above_n_is_error(self, tmp_path, capsys, index):
+        out = tmp_path / "curves.csv"
+        rc = main(["curves", "--index", index, "--n", "2", "--mu", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: mu=3.0 incompatible with n=2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("index", ["poisson-dispersion", "poisson-skewness"])

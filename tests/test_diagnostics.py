@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -11,19 +12,25 @@ from countdiag import (
     CountDiagError,
     CountSeries,
     DegenerateSeriesError,
+    GridConfig,
     MissingSpec,
     NullSpec,
     ParameterError,
     PoiInar1,
     Seed,
     apply_mask,
+    bin_dispersion_asym_markov,
+    emit_curves,
     fit_null_params,
     index_bin_dispersion,
     index_poi_dispersion,
     index_skew,
+    poi_dispersion_asym_markov,
     simulate_bar1,
     simulate_markov_mask,
     simulate_poi_inar1,
+    skew_asym_binomial_markov,
+    skew_asym_poisson_markov,
 )
 from countdiag import test_from_params as run_test_from_params
 from countdiag import test_index as run_test_index
@@ -34,8 +41,8 @@ from countdiag.diagnostics import (
     KIND_POI_DISPERSION,
     KIND_POI_SKEWNESS,
     _index_value,
+    _null_model,
     family_kinds,
-    marginal_params,
 )
 from countdiag.cli import build_parser, main
 from countdiag.harness import _index_estimates, write_series_csv
@@ -342,6 +349,27 @@ class TestFitNullParams:
         assert run_test_index(masked, compacted, "dispersion").fitted.T == 1000
 
 
+class TestNullModel:
+    @pytest.mark.parametrize("mu, n", [(3.0, 2), (10.0, 10), (12.5, 10)])
+    def test_binomial_mean_at_or_above_n_is_named_alike_everywhere(self, mu, n):
+        entries = [
+            lambda: _null_model("binomial", mu, 0.5, n),
+            lambda: GridConfig("binomial", mu=mu, n=(25, n), replications=1),
+            lambda: run_test_from_params("dispersion", "binomial", mu=mu, rho=0.5, tau=0.8,
+                                         r=0.3, T=100, n=n),
+            lambda: emit_curves("binomial-skewness", mu=mu, n=n),
+        ]
+        message = f"mu={mu} incompatible with n={n}"
+        for entry in entries:
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                entry()
+
+    def test_parameters_pass_through_unchanged(self):
+        assert _null_model("poisson", 3.0, 0.5) == PoiInar1(3.0, 0.5)
+        model = _null_model("binomial", 0.1, 0.0, 11)
+        assert model == Bar1(11, 0.1 / 11, 0.0)
+
+
 class TestTestFromParams:
     def test_symmetric_interval_identity(self):
         rep = run_test_from_params("dispersion", "poisson", mu=3.0, rho=0.5, tau=0.8,
@@ -382,6 +410,26 @@ class TestTestFromParams:
         with pytest.raises(ParameterError):
             run_test_from_params("dispersion", "binomial", mu=3.0, rho=0.5,
                              tau=0.8, r=0.0, T=250)
+
+    @pytest.mark.parametrize(
+        "kind, family, mu, rho, tau, r, T, n, form",
+        [
+            ("dispersion", "poisson", 3.0, 0.5, 0.8, 0.3, 250, None, poi_dispersion_asym_markov),
+            ("dispersion", "poisson", 3.0, 0.5, 0.8, 0.0, 250, None, poi_dispersion_asym_markov),
+            ("dispersion", "binomial", 0.6117, 0.3325, 0.916, 0.0, 225, 3,
+             bin_dispersion_asym_markov),
+            ("skewness", "binomial", 0.6117, 0.3325, 0.916, 0.0, 225, 3,
+             skew_asym_binomial_markov),
+            ("skewness", "binomial", 3.0, 0.5, 0.8, 0.0, 250, 10, skew_asym_binomial_markov),
+            ("skewness", "poisson", 3.0, 0.5, 0.8, 0.3, 100, None, skew_asym_poisson_markov),
+        ],
+    )
+    def test_equals_the_closed_form_bit_for_bit(self, kind, family, mu, rho, tau, r, T, n, form):
+        marginal = (mu,) if n is None else (n, mu / n)
+        want = form(*marginal, rho, tau, r, T)
+        rep = run_test_from_params(kind, family, mu=mu, rho=rho, tau=tau, r=r, T=T, n=n)
+        got, want = (rep.null_value, rep.bias, rep.sd), (want.null_value, want.bias, want.sd)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
     @pytest.mark.parametrize("family, kind", [("Poisson", "dispersion"), ("poisson", "skew")])
     def test_unknown_kind_named_before_n(self, family, kind):
@@ -526,9 +574,9 @@ class TestNullSpec:
         with pytest.raises(ParameterError, match="'n' is only valid for the binomial family"):
             NullSpec("poisson", n=10)
 
-    def test_marginal_params_reject_n_for_poisson(self):
+    def test_null_model_rejects_n_for_poisson(self):
         with pytest.raises(ParameterError, match="'n' is only valid for the binomial family"):
-            marginal_params("poisson", 3.0, 10)
+            _null_model("poisson", 3.0, 0.5, 10)
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):

@@ -34,7 +34,12 @@ from countdiag.harness import (
     format_grid_table,
     result_rows,
 )
-from countdiag import poi_dispersion_asym_markov, skew_asym_binomial_markov
+from countdiag import (
+    bin_dispersion_asym_markov,
+    poi_dispersion_asym_markov,
+    skew_asym_binomial_markov,
+    skew_asym_poisson_markov,
+)
 
 
 def small_scenario(**overrides):
@@ -67,6 +72,33 @@ class TestScenario:
         bar = small_scenario(model=Bar1(10, 0.3, 0.5))
         direct = skew_asym_binomial_markov(10, 0.3, 0.5, 0.8, 0.6, 100)
         assert scenario_asymptotics(bar, "binomial-skewness").bias == direct.bias
+
+    @pytest.mark.parametrize(
+        "config",
+        [GridConfig("poisson", replications=1), GridConfig("binomial", n=(10, 25), replications=1)],
+        ids=["poisson", "binomial"],
+    )
+    def test_asymptotics_of_every_standard_cell_equal_the_closed_form(self, config):
+        # the closed form at the configured parameters, bit for bit (pi = mu / n)
+        def bits(asym):
+            return [float.hex(v) for v in dataclasses.astuple(asym)]
+
+        for s in config.scenarios():
+            dep = (config.rho, s.missing.tau, s.missing.r, s.T)
+            if config.family == "poisson":
+                direct = {
+                    "poisson-dispersion": poi_dispersion_asym_markov(config.mu, *dep),
+                    "poisson-skewness": skew_asym_poisson_markov(config.mu, *dep),
+                }
+            else:
+                n = s.model.n
+                direct = {
+                    "binomial-dispersion": bin_dispersion_asym_markov(n, config.mu / n, *dep),
+                    "binomial-skewness": skew_asym_binomial_markov(n, config.mu / n, *dep),
+                }
+            assert set(direct) == set(s.index_kinds)
+            for kind, want in direct.items():
+                assert bits(scenario_asymptotics(s, kind)) == bits(want)
 
 
 class TestRunScenario:
@@ -161,6 +193,19 @@ class TestRunGrid:
         ((grid, table),) = printed
         assert grid.splitlines()[1].startswith(b"poisson,,3.0,0.5,0.8,0.0,50,64,")
         assert table.splitlines()[1].split()[:2] == ["0.80", "0.00"]
+
+    def test_mu_prints_as_configured(self, tmp_path):
+        # n * (mu / n) is 0.10000000000000002 at n = 11 and 0.09999999999999999 at n = 19
+        doc = {"family": "binomial", "mu": 0.1, "n": [11, 19], "tau": 0.8, "r": 0.3, "T": 50,
+               "replications": 64}
+        results = run_grid(grid_config_from_dict(doc))
+        assert [res.scenario.model.pi for res in results] == [0.1 / 11, 0.1 / 19]
+        assert [row["mu"] for row in result_rows(results)] == [0.1, 0.1]
+        write_grid_csv(results, tmp_path / "grid.csv")
+        lines = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:3] for line in lines] == [
+            ["binomial", "11", "0.1"], ["binomial", "19", "0.1"]
+        ]
 
     def test_binomial_grid_carries_both_bounds(self):
         config = GridConfig("binomial", replications=1, n=(10, 25))

@@ -34,8 +34,25 @@ class TestCountSeries:
             CountSeries([1, -1], [1, 1])
 
     def test_negative_observed_named_among_hidden_negatives(self):
-        with pytest.raises(ParameterError, match="^observed counts must be non-negative$"):
+        with pytest.raises(
+            ParameterError,
+            match=r"^observed counts must be non-negative, got -1 at position 2 \(0-based\)$",
+        ):
             CountSeries([-3, 1, -1, -7], [0, 1, 1, 0])
+
+    @pytest.mark.parametrize(
+        "values, mask, message",
+        [
+            ([-2], None, "observed counts must be non-negative, got -2 at position 0"),
+            ([4, 0, -5, -1], None, "observed counts must be non-negative, got -5 at position 2"),
+            ([1, 2, 3], [1, 257, 256], "mask entries must be 0 or 1, got 257 at position 1"),
+            ([1, 2, 3, 4], [0, 1, -1, 2], "mask entries must be 0 or 1, got -1 at position 2"),
+            ([1, 2], [1.0, 2.0], "mask entries must be 0 or 1, got 2 at position 1"),
+        ],
+    )
+    def test_first_bad_entry_named(self, values, mask, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)} \\(0-based\\)$"):
+            CountSeries(values, mask)
 
     def test_masked_positions_unvalidated(self):
         # sentinels at hidden positions may be anything, including negative
@@ -184,8 +201,8 @@ BAD_VALUES = [
     (cd.NullSpec, ("binomial", 2.7), "n"),
     (cd.NullSpec, ("binomial", "10"), "n"),
     (cd.NullSpec, ("poisson", None, "0.05"), "alpha"),
-    (cd.diagnostics.marginal_params, ("binomial", 3.0, 2.7), "n"),
-    (cd.diagnostics.marginal_params, ("poisson", math.inf), "mu"),
+    (cd.diagnostics._null_model, ("binomial", 3.0, 0.5, 2.7), "n"),
+    (cd.diagnostics._null_model, ("poisson", math.inf, 0.5), "mu"),
     (cd.index_bin_dispersion, (CountSeries([1, 2, 3]), 2.5), "n"),
     (_two_sided_z, ("0.05",), "alpha"),
     (cd.acf_critical_band, ([0.5], 2.5), "T"),
