@@ -73,11 +73,20 @@ def _real(v) -> float:
     return float(v) + 0.0
 
 
-def _check_once(key: str, value, before) -> None:
-    """Reject an axis value equal to one listed before it: one cell, one
-    stream, one row (1 == 1.0 and 0.0 == -0.0)."""
-    if value in before:
-        raise ParameterError(f"{key} must list each value once, got {value} again")
+def _axis(key: str, values) -> tuple:
+    """A grid or curve axis as a tuple: one value, or a list, tuple or array
+    of values, each in the domain of ``key`` and none equal to one listed
+    before it (one cell, one stream, one row: 1 == 1.0 and 0.0 == -0.0)."""
+    if isinstance(values, np.ndarray) and values.ndim == 0:
+        values = values[()]
+    values = tuple(values) if isinstance(values, (list, tuple, np.ndarray)) else (values,)
+    if not values:
+        raise ParameterError(f"{key} must list at least one value")
+    for i, value in enumerate(values):
+        _check(key, value)
+        if value in values[:i]:
+            raise ParameterError(f"{key} must list each value once, got {value} again")
+    return values
 
 
 def _value(v) -> str:
@@ -153,28 +162,26 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
 
     lengths, laws = {}, {}
     for i, c in enumerate(cells):
-        model_key = _model_key(c.model)
-        lengths.setdefault(model_key, (c.model, set()))[1].add(c.T)
-        law_key = None if c.missing.tau >= 1.0 else _law_key(c.missing)
-        laws.setdefault(law_key, (c.missing, {}))[1].setdefault(model_key, []).append(i)
+        lengths.setdefault(c.model, set()).add(c.T)
+        law = None if c.missing.tau >= 1.0 else c.missing
+        laws.setdefault(law, {}).setdefault(c.model, []).append(i)
     tallies = {}
-    for model_key, (m, ends) in lengths.items():
+    for m, ends in lengths.items():
+        stream = rng(_model_key(m))
         if isinstance(m, PoiInar1):
-            paths, n = _poisson_paths(m.mu, m.rho, T, size, rng(model_key)), None
+            paths, n = _poisson_paths(m.mu, m.rho, T, size, stream), None
         else:
-            paths, n = _binomial_paths(m.n, m.pi, m.rho, T, size, rng(model_key)), m.n
-        tallies[model_key] = Tally(paths, sorted(ends)), n  # the keys overwrite the paths
+            paths, n = _binomial_paths(m.n, m.pi, m.rho, T, size, stream), m.n
+        tallies[m] = Tally(paths, sorted(ends)), n  # the keys overwrite the paths
     out = [None] * len(cells)
-    for law_key, (missing, by_model) in laws.items():
-        if law_key is None:
+    for law, by_model in laws.items():
+        if law is None:
             mask = np.ones((size, T), dtype=np.int8)
         else:
             # no name holds the uniforms, so the kernel frees them once read
-            mask = _markov_mask_from_uniforms(
-                rng(law_key).random((size, T)), missing.tau, missing.r
-            )
-        for model_key, members in by_model.items():
-            tally, n = tallies[model_key]
+            mask = _markov_mask_from_uniforms(rng(_law_key(law)).random((size, T)), law.tau, law.r)
+        for m, members in by_model.items():
+            tally, n = tallies[m]
             kinds = cells[members[0]].index_kinds
             est = _index_estimates(tally, mask, kinds, n)
             for i in members:
@@ -185,8 +192,7 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
 
 
 def _chunk_plan(replications: int, chunk_size: int):
-    if chunk_size < 1:
-        raise ParameterError(f"chunk size must be >= 1, got {chunk_size}")
+    _check("chunk size", chunk_size, "replications")
     plan = []
     start = 0
     index = 0
@@ -238,8 +244,7 @@ def _simulate(cells: Sequence[Scenario], workers: int, chunk_size: int) -> list:
     is deterministic for a fixed (master seed, chunk size, longest T) no
     matter how many workers execute the units.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    _check("workers", workers, "replications")
     if not cells:
         return []
     plan = _chunk_plan(cells[0].replications, chunk_size)
@@ -270,7 +275,8 @@ def run_scenario(
 class GridConfig:
     """Axes of a scenario grid; defaults mirror the standard study design.
 
-    The field names are the keys of an ``mc`` config document.
+    The field names are the keys of an ``mc`` config document, and an axis
+    takes one value or a list, tuple or array of them, as a document's does.
     """
 
     family: str
@@ -288,14 +294,8 @@ class GridConfig:
             raise ParameterError(f"unknown family {self.family!r}")
         _check("replications", self.replications)
         _check("master_seed", self.master_seed)
-        axes = ["tau", "r", "T"] + (["n"] if self.family == "binomial" else [])
-        for key in axes:
-            values = getattr(self, key)
-            if len(values) == 0:
-                raise ParameterError(f"{key} must list at least one value")
-            for i, value in enumerate(values):
-                _check(key, value)
-                _check_once(key, value, values[:i])
+        for key in ["tau", "r", "T"] + (["n"] if self.family == "binomial" else []):
+            object.__setattr__(self, key, _axis(key, getattr(self, key)))
         self._models()
 
     def _models(self) -> dict:
@@ -304,8 +304,7 @@ class GridConfig:
         return {n: _null_model(self.family, self.mu, self.rho, n) for n in ns}
 
     def scenarios(self) -> list:
-        """Grid cells in stable row order: tau desc, r asc, T asc, n asc; cells
-        whose values compare equal keep the order of the axes as listed."""
+        """Grid cells in stable row order: tau desc, r asc, T asc, n asc."""
         models = self._models()
         cells = sorted(
             itertools.product(self.tau, self.r, self.T, models), key=lambda c: (-c[0], *c[1:])
@@ -335,11 +334,6 @@ def grid_config_from_dict(doc: dict) -> GridConfig:
         raise ParameterError("config requires a 'family' key")
     if doc["family"] == "poisson" and "n" in doc:
         raise ParameterError(_N_POISSON)
-    doc = dict(doc)
-    for axis in ("n", "tau", "r", "T"):
-        if axis in doc:
-            value = doc[axis]
-            doc[axis] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
     return GridConfig(**doc)
 
 
@@ -447,17 +441,15 @@ def emit_curves(
     taus = np.asarray(taus, dtype=np.float64)
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
-    r_values = [_real(r) for r in r_values]
-    for i, r in enumerate(r_values):
-        _check_once("r", r, r_values[:i])
+    r_values = _axis("r", r_values)
     spec = INDEX_KINDS[kind]
     model = _null_model(spec.family, mu, rho, n)
     rows = []
-    for r in r_values:
+    for r in map(_real, r_values):
         for tau in taus:
             asym = spec.markov(model, MissingSpec(float(tau), r), 1)
             rows.append(dict(zip(_CURVE_COLUMNS, (
-                kind, float(tau), r, mu, "" if n is None else n, asym.variance, asym.bias
+                kind, float(tau), r, _real(mu), "" if n is None else n, asym.variance, asym.bias
             ))))
     return rows
 

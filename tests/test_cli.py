@@ -7,9 +7,38 @@ from pathlib import Path
 import pytest
 
 import countdiag
-from countdiag import ParameterError, load_series_csv
+from countdiag import GridConfig, ParameterError, grid_config_from_dict, load_series_csv
 from countdiag.cli import _cmd_simulate, build_parser, main
 from countdiag.harness import emit_curves, write_curves_csv
+
+#: A small valid ``mc`` config document.
+VALID_CONFIG = {"family": "poisson", "tau": [0.8], "r": [0.0], "T": [50],
+                "replications": 8, "master_seed": 1}
+#: Overrides of VALID_CONFIG that make it malformed, with the error each gives.
+MALFORMED_CONFIGS = [
+    ({"replications": "100"}, "replications must be an integer >= 1, got '100'"),
+    ({"replications": 2.5}, "replications must be an integer >= 1, got 2.5"),
+    ({"replications": True}, "replications must be an integer >= 1, got True"),
+    ({"replications": 0}, "replications must be an integer >= 1, got 0"),
+    ({"T": [100.5]}, "T must be an integer >= 1, got 100.5"),
+    ({"T": []}, "T must list at least one value"),
+    ({"tau": []}, "tau must list at least one value"),
+    ({"r": []}, "r must list at least one value"),
+    ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
+    ({"master_seed": 1.5}, "master_seed must be an integer >= 0, got 1.5"),
+    ({"mu": "3"}, "mu must be a finite real number, got '3'"),
+    ({"rho": None}, "rho must be a finite real number, got None"),
+    ({"tau": ["0.8"]}, "tau must be a finite real number, got '0.8'"),
+    ({"r": [True]}, "r must be a finite real number, got True"),
+    ({"family": "binomial", "n": []}, "n must list at least one value"),
+    ({"family": "binomial", "n": [10.5]}, "n must be an integer >= 2, got 10.5"),
+    ({"family": "binomial", "n": [False]}, "n must be an integer >= 2, got False"),
+    ({"family": "binomial", "rho": -0.2}, "rho must lie in [0, 1), got -0.2"),
+    ({"rho": 1.0}, "rho must lie in [0, 1), got 1.0"),
+    ({"tau": [0.8, 0.8]}, "tau must list each value once, got 0.8 again"),
+    ({"r": [0, 0.0]}, "r must list each value once, got 0.0 again"),
+    ({"family": "binomial", "n": [10, 25, 10]}, "n must list each value once, got 10 again"),
+]
 
 
 class TestSimulateCommand:
@@ -322,7 +351,9 @@ class TestMcCommand:
         out = tmp_path / "grid.csv"
         rc = main(["mc", "--config", str(config), "--out", str(out), "--workers", workers])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert capsys.readouterr().err == (
+            f"error: workers must be an integer >= 1, got {workers}\n"
+        )
         assert not out.exists()
 
     def test_config_with_byte_order_mark(self, tmp_path):
@@ -340,37 +371,9 @@ class TestMcCommand:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "override, message",
-        [
-            ({"replications": "100"}, "replications must be an integer >= 1, got '100'"),
-            ({"replications": 2.5}, "replications must be an integer >= 1, got 2.5"),
-            ({"replications": True}, "replications must be an integer >= 1, got True"),
-            ({"replications": 0}, "replications must be an integer >= 1, got 0"),
-            ({"T": [100.5]}, "T must be an integer >= 1, got 100.5"),
-            ({"T": []}, "T must list at least one value"),
-            ({"tau": []}, "tau must list at least one value"),
-            ({"r": []}, "r must list at least one value"),
-            ({"master_seed": -1}, "master_seed must be an integer >= 0, got -1"),
-            ({"master_seed": 1.5}, "master_seed must be an integer >= 0, got 1.5"),
-            ({"mu": "3"}, "mu must be a finite real number, got '3'"),
-            ({"rho": None}, "rho must be a finite real number, got None"),
-            ({"tau": ["0.8"]}, "tau must be a finite real number, got '0.8'"),
-            ({"r": [True]}, "r must be a finite real number, got True"),
-            ({"family": "binomial", "n": []}, "n must list at least one value"),
-            ({"family": "binomial", "n": [10.5]}, "n must be an integer >= 2, got 10.5"),
-            ({"family": "binomial", "n": [False]}, "n must be an integer >= 2, got False"),
-            ({"family": "binomial", "rho": -0.2}, "rho must lie in [0, 1), got -0.2"),
-            ({"rho": 1.0}, "rho must lie in [0, 1), got 1.0"),
-            ({"tau": [0.8, 0.8]}, "tau must list each value once, got 0.8 again"),
-            ({"r": [0, 0.0]}, "r must list each value once, got 0.0 again"),
-            ({"family": "binomial", "n": [10, 25, 10]}, "n must list each value once, got 10 again"),
-        ],
-    )
+    @pytest.mark.parametrize("override, message", MALFORMED_CONFIGS)
     def test_malformed_config_is_error(self, tmp_path, capsys, override, message):
-        doc = {"family": "poisson", "tau": [0.8], "r": [0.0], "T": [50],
-               "replications": 8, "master_seed": 1}
-        doc.update(override)
+        doc = {**VALID_CONFIG, **override}
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         out = tmp_path / "grid.csv"
@@ -378,6 +381,15 @@ class TestMcCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", MALFORMED_CONFIGS)
+    def test_malformed_config_is_the_same_error_in_python(self, override, message):
+        # a config document and GridConfig's keyword arguments take one axis rule
+        doc = {**VALID_CONFIG, **override}
+        for build in (grid_config_from_dict, lambda doc: GridConfig(**doc)):
+            with pytest.raises(ParameterError) as err:
+                build(doc)
+            assert str(err.value) == message
 
 
 class TestCurvesCommand:
@@ -442,7 +454,8 @@ class TestCurvesCommand:
         ]
 
     @pytest.mark.parametrize(
-        "r, again", [("-0.0,0", "0.0"), ("0.3,0.6,0.30", "0.3"), ("0.6,0.6", "0.6")]
+        "r, again",
+        [("-0.0,0", "0.0"), ("0,-0.0", "-0.0"), ("0.3,0.6,0.30", "0.3"), ("0.6,0.6", "0.6")],
     )
     def test_r_listed_twice_is_error(self, tmp_path, capsys, r, again):
         out = tmp_path / "curves.csv"

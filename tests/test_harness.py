@@ -120,8 +120,23 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+        with pytest.raises(
+            ParameterError, match=f"^workers must be an integer >= 1, got {workers}$"
+        ):
             run_scenario(small_scenario(), workers=workers)
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("size, name", [("workers", "workers"), ("chunk_size", "chunk size")])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_run_sizes_must_be_integers(self, grid, size, name, value):
+        with pytest.raises(
+            ParameterError, match=f"^{name} must be an integer >= 1, got {value}$"
+        ):
+            if grid:
+                run_grid(GridConfig("poisson", tau=(0.8,), T=(50,), replications=8),
+                         **{size: value})
+            else:
+                run_scenario(small_scenario(), **{size: value})
 
     def test_single_replication_flags_sd(self):
         res = run_scenario(small_scenario(replications=1))
@@ -404,8 +419,7 @@ class TestGridConfigJson:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
         doc = json.loads(block)
-        axes = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        assert grid_config_from_dict(doc) == GridConfig(**axes)
+        assert grid_config_from_dict(doc) == GridConfig(**doc)
 
     def test_n_rejected_for_poisson(self):
         with pytest.raises(ParameterError):
@@ -414,6 +428,42 @@ class TestGridConfigJson:
     def test_family_required(self):
         with pytest.raises(ParameterError):
             grid_config_from_dict({})
+
+
+class TestGridConfigAxes:
+    """GridConfig takes an axis as a config document may spell it, and stores
+    it as a tuple, so that the frozen config can be hashed."""
+
+    @pytest.mark.parametrize("key, values", [
+        ("tau", (1.0, 0.8)), ("r", (0.0, 0.3)), ("T", (50, 100)), ("n", (10, 25)),
+    ])
+    def test_scalar_list_tuple_and_array_build_one_config(self, key, values):
+        def config(axis):
+            return GridConfig("binomial", replications=1, **{key: axis})
+
+        one = values[0]  # a 0-d array is one value too
+        for spellings, want in (
+            ([one, [one], (one,), np.array([one]), np.array(one)], (one,)),
+            ([list(values), values, np.array(values)], values),
+        ):
+            configs = [config(axis) for axis in spellings]
+            assert set(configs) == {config(want)}  # each can be hashed, and all are equal
+            assert all(type(getattr(c, key)) is tuple for c in configs)
+
+    @pytest.mark.parametrize("build", [
+        lambda doc: GridConfig(**doc), grid_config_from_dict,
+    ])
+    def test_ragged_list_names_the_bad_entry(self, build):
+        with pytest.raises(ParameterError, match=r"^T must be an integer >= 1, got \[1, 2\]$"):
+            build({"family": "poisson", "T": [50, [1, 2]]})
+
+    def test_valid_documents_build_the_same_config(self):
+        for doc in [
+            {"family": "poisson"},
+            {"family": "poisson", "tau": 0.8, "r": [0, 0.3], "T": 50, "replications": 8},
+            {"family": "binomial", "mu": 2, "n": 10, "tau": [1, 0.6], "T": [100, 50]},
+        ]:
+            assert grid_config_from_dict(doc) == GridConfig(**doc)
 
 
 class TestEmitCurves:
@@ -446,6 +496,16 @@ class TestEmitCurves:
     def test_binomial_requires_n(self):
         with pytest.raises(ParameterError):
             emit_curves("binomial-skewness")
+
+    @pytest.mark.parametrize("r, shown", [("x", "'x'"), (True, "True")])
+    def test_r_must_be_a_real_number(self, r, shown):
+        with pytest.raises(ParameterError, match=f"^r must be a finite real number, got {shown}$"):
+            emit_curves("poisson-dispersion", r_values=[0.3, r], taus=[1.0])
+
+    def test_mu_and_r_print_by_their_float_value(self):
+        (row,) = emit_curves("poisson-dispersion", mu=3, r_values=(0,), taus=[1.0])
+        assert repr(row["mu"]) == "3.0" and repr(row["r"]) == "0.0"
+        assert row == emit_curves("poisson-dispersion", mu=3.0, r_values=(0.0,), taus=[1.0])[0]
 
 
 class TestSeriesCsv:
