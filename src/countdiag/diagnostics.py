@@ -33,8 +33,6 @@ KIND_BIN_SKEWNESS = "binomial-skewness"
 
 _RHO_MAX = 1.0 - 1e-9
 
-_N_POISSON = "'n' is only valid for the binomial family"
-
 
 @dataclass(frozen=True)
 class NullSpec:
@@ -67,7 +65,7 @@ class NullSpec:
         if self.family == FAMILY_BINOMIAL:
             _check("n", self.n)
         elif self.n is not None:
-            raise ParameterError(_N_POISSON)
+            raise ParameterError("'n' is only valid for the binomial family")
         _check("alpha", self.alpha)
 
 
@@ -225,14 +223,12 @@ def family_kinds(family: str) -> tuple:
 
 def _null_model(family: str, mu: float, rho: float, n: Optional[int] = None) -> ModelSpec:
     """The AR(1) null of one family from its mean, its dependence in the closed
-    forms' domain [0, 1) and its bound: PoINAR(1) or BAR(1) with pi = mu / n."""
+    forms' domain [0, 1) and the bound NullSpec admits: PoINAR(1) or BAR(1), pi = mu / n."""
     _check("mu", mu)
     _check("rho", rho)
-    if family == FAMILY_POISSON:
-        if n is not None:
-            raise ParameterError(_N_POISSON)
+    if NullSpec(family, n).n is None:
         return PoiInar1(mu, rho)
-    if not 0.0 < mu / _check("n", n) < 1.0:
+    if not 0.0 < mu / n < 1.0:
         raise ParameterError(f"mu={mu} incompatible with n={n}")
     return Bar1(n, mu / n, rho)
 
@@ -305,7 +301,7 @@ def test_from_params(
     """
     if sided not in ("two", "upper", "lower"):
         raise ParameterError(f"sided must be 'two', 'upper' or 'lower', got {sided!r}")
-    spec = INDEX_KINDS[f"{family}-{kind}"]  # first, so an unknown family fails as its kind
+    spec = INDEX_KINDS[f"{family}-{kind}"]  # first, so a bad family fails as its kind
     asym = spec.markov(_null_model(family, mu, rho, n), MissingSpec(tau, r), T)
     z = _two_sided_z(alpha)
     lower = asym.mean - z * asym.sd
@@ -350,6 +346,8 @@ def test_indices(
     flagged with a warning unless the test is upper-sided.
     """
     specs = [INDEX_KINDS[f"{null.family}-{kind}"] for kind in kinds]
+    if not specs:
+        raise ParameterError("kinds must list at least one index kind")
     if null.family == FAMILY_BINOMIAL:
         above = np.flatnonzero((series.mask == 1) & (series.values > null.n))
         if above.size:
@@ -359,7 +357,7 @@ def test_indices(
             )
     work = series.compact() if null.ignore_missing else series
     fitted = fit_null_params(work, n=null.n)
-    muhat = sample_factorial_moments(work, max((spec.order for spec in specs), default=1))
+    muhat = sample_factorial_moments(work, max(spec.order for spec in specs))
     reports = []
     for kind, spec in zip(kinds, specs):
         report = test_from_params(

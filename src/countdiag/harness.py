@@ -25,7 +25,7 @@ from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import Tally
 from .asymptotics import IndexAsymptotics
-from .diagnostics import _N_POISSON, INDEX_KINDS, _null_model, family_kinds
+from .diagnostics import INDEX_KINDS, _null_model, family_kinds
 
 #: Replications are simulated in vectorized chunks of this many paths.  Per
 #: chunk index, each model's paths and each mask law's mask have their own
@@ -282,7 +282,7 @@ class GridConfig:
     family: str
     mu: float = 3.0
     rho: float = 0.5
-    n: tuple = (10, 25)
+    n: Optional[tuple] = None
     tau: tuple = (1.0, 0.8, 0.6, 0.4)
     r: tuple = (0.0, 0.3, 0.6)
     T: tuple = (100, 250, 500, 1000)
@@ -290,17 +290,17 @@ class GridConfig:
     master_seed: int = 1
 
     def __post_init__(self):
-        if self.family not in ("poisson", "binomial"):
-            raise ParameterError(f"unknown family {self.family!r}")
         _check("replications", self.replications)
         _check("master_seed", self.master_seed)
+        if self.family == "binomial" and self.n is None:
+            object.__setattr__(self, "n", (10, 25))
         for key in ["tau", "r", "T"] + (["n"] if self.family == "binomial" else []):
             object.__setattr__(self, key, _axis(key, getattr(self, key)))
         self._models()
 
     def _models(self) -> dict:
-        """The null model of each n, keyed None for a Poisson grid."""
-        ns = self.n if self.family == "binomial" else (None,)
+        """The null model of each n of a binomial grid, or of a Poisson grid's one n."""
+        ns = self.n if self.family == "binomial" else (self.n,)
         return {n: _null_model(self.family, self.mu, self.rho, n) for n in ns}
 
     def scenarios(self) -> list:
@@ -332,8 +332,6 @@ def grid_config_from_dict(doc: dict) -> GridConfig:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
     if "family" not in doc:
         raise ParameterError("config requires a 'family' key")
-    if doc["family"] == "poisson" and "n" in doc:
-        raise ParameterError(_N_POISSON)
     return GridConfig(**doc)
 
 
@@ -439,6 +437,8 @@ def emit_curves(
     if taus is None:
         taus = np.linspace(*CURVE_TAUS)
     taus = np.asarray(taus, dtype=np.float64)
+    if taus.ndim != 1:
+        raise ParameterError(f"taus must be one-dimensional, got shape {taus.shape}")
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
     r_values = _axis("r", r_values)

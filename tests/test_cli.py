@@ -38,6 +38,7 @@ MALFORMED_CONFIGS = [
     ({"tau": [0.8, 0.8]}, "tau must list each value once, got 0.8 again"),
     ({"r": [0, 0.0]}, "r must list each value once, got 0.0 again"),
     ({"family": "binomial", "n": [10, 25, 10]}, "n must list each value once, got 10 again"),
+    ({"family": "poisson", "n": [1, "x"]}, "'n' is only valid for the binomial family"),
 ]
 
 

@@ -560,6 +560,11 @@ class TestTestIndex:
         with pytest.raises(DegenerateSeriesError, match="^series has no observed positions$"):
             run_test_indices(CountSeries([3, 4, 5], [0, 0, 0]), null, ("dispersion", "skewness"))
 
+    def test_no_kinds_is_an_error_before_the_fit(self):
+        unfittable = CountSeries([3, 4, 5], [0, 0, 0])
+        with pytest.raises(ParameterError, match="^kinds must list at least one index kind$"):
+            run_test_indices(unfittable, NullSpec("poisson"), [], sided="bogus")
+
 
 class TestNullSpec:
     def test_binomial_requires_n(self):
@@ -581,3 +586,7 @@ class TestNullSpec:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             NullSpec("gaussian")
+
+    def test_null_model_rejects_an_unknown_family_with_an_n(self):
+        with pytest.raises(ParameterError, match="^unknown family 'foo'$"):
+            _null_model("foo", 3.0, 0.5, 10)

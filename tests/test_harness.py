@@ -429,6 +429,23 @@ class TestGridConfigJson:
         with pytest.raises(ParameterError):
             grid_config_from_dict({})
 
+    @pytest.mark.parametrize("n", [10, (10, 25), (1, "x")])
+    def test_n_rejected_for_poisson_in_python(self, n):
+        with pytest.raises(ParameterError, match="^'n' is only valid for the binomial family$"):
+            GridConfig("poisson", n=n, replications=1)
+
+    def test_no_n_and_null_n_mean_no_n_given(self):
+        assert GridConfig("binomial").n == (10, 25)
+        assert grid_config_from_dict({"family": "binomial", "n": None}) == GridConfig("binomial")
+        config = grid_config_from_dict({"family": "poisson", "n": None})
+        assert config == GridConfig("poisson") and len(config.scenarios()) == 48
+
+    def test_unknown_family_named_after_the_axes(self):
+        with pytest.raises(ParameterError, match="^unknown family 'gaussian'$"):
+            GridConfig("gaussian", replications=1)
+        with pytest.raises(ParameterError, match="^T must list at least one value$"):
+            GridConfig("gaussian", T=[], replications=1)
+
 
 class TestGridConfigAxes:
     """GridConfig takes an axis as a config document may spell it, and stores
@@ -496,6 +513,10 @@ class TestEmitCurves:
     def test_binomial_requires_n(self):
         with pytest.raises(ParameterError):
             emit_curves("binomial-skewness")
+
+    def test_taus_must_be_one_dimensional(self):
+        with pytest.raises(ParameterError, match=r"^taus must be one-dimensional, got shape \(1, 2\)$"):
+            emit_curves("poisson-dispersion", taus=[[0.5, 0.6]])
 
     @pytest.mark.parametrize("r, shown", [("x", "'x'"), (True, "True")])
     def test_r_must_be_a_real_number(self, r, shown):
