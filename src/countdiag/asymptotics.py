@@ -93,7 +93,7 @@ def kappa(s: int, tau: float, r: float, rho: float) -> float:
     """
     _check("s", s, "lag")
     if _check("tau", tau) < MIN_TAU:
-        raise ParameterError(f"tau below {MIN_TAU} is numerically meaningless")
+        raise ParameterError(f"tau must be at least {MIN_TAU} for the asymptotics, got {tau}")
     _check("r", r)
     _check("rho", rho)
     x = rho**s

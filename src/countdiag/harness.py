@@ -429,10 +429,10 @@ def emit_curves(
     """Tabulate T-fold asymptotic variance and bias over a tau range.
 
     Returns one dict per (r, tau) pair with columns tau, r, mu, n,
-    t_variance and t_bias, ready for external plotting.  Each r value is
-    listed once and prints by its float value, as grid axes do.  The tau
-    range must stay within [0.25, 1]: more than 75 percent missing data is
-    not a practically meaningful regime.
+    t_variance and t_bias, ready for external plotting.  Each tau and each
+    r value is listed once, and r prints by its float value, as grid axes
+    do.  The tau range must stay within [0.25, 1]: more than 75 percent
+    missing data is not a practically meaningful regime.
     """
     if taus is None:
         taus = np.linspace(*CURVE_TAUS)
@@ -441,6 +441,11 @@ def emit_curves(
         raise ParameterError(f"taus must be one-dimensional, got shape {taus.shape}")
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
+    seen = set()
+    for tau in taus.tolist():
+        if tau in seen:
+            raise ParameterError(f"tau must list each value once, got {tau} again")
+        seen.add(tau)
     r_values = _axis("r", r_values)
     spec = INDEX_KINDS[kind]
     model = _null_model(spec.family, mu, rho, n)

@@ -69,6 +69,12 @@ class TestKappa:
         with pytest.raises(ParameterError):
             kappa(1, 0.8, 0.0, 1.0)
 
+    def test_tau_floor_names_the_value(self):
+        with pytest.raises(
+            ParameterError, match=r"^tau must be at least 0\.01 for the asymptotics, got 0\.005$"
+        ):
+            kappa(1, 0.005, 0.0, 0.5)
+
 
 class TestCltSigmaGeneral:
     def test_poisson_order11_closed_form(self):

@@ -185,6 +185,15 @@ class TestDiagnoseCommand:
         assert n_observed < 500
         assert [r["n_observed"] for r in json.loads(payload.read_text())] == [n_observed] * 2
 
+    def test_tau_below_the_floor_names_it(self, tmp_path, capsys):
+        series = tmp_path / "sparse.csv"
+        series.write_text("x\n2\n3\n4\n5\n6\n" + "NA\n" * 995)  # 5 of 1000 observed
+        rc = main(["diagnose", "--input", str(series), "--null", "poisson"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: tau must be at least 0.01 for the asymptotics, got 0.005\n"
+        )
+
     def test_no_lag1_pair_is_error(self, tmp_path, capsys):
         series = tmp_path / "alternate.csv"
         series.write_text("x\n" + "3\nNA\n5\nNA\n2\nNA\n4\nNA\n1\n")
@@ -465,6 +474,14 @@ class TestCurvesCommand:
         assert capsys.readouterr().err == f"error: r must list each value once, got {again} again\n"
         assert not out.exists()
 
+    def test_tau_listed_twice_is_error(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        rc = main(["curves", "--index", "poisson-dispersion", "--tau-min", "0.5",
+                   "--tau-max", "0.5", "--points", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tau must list each value once, got 0.5 again\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("index", ["binomial-dispersion", "binomial-skewness"])
     def test_mean_at_or_above_n_is_error(self, tmp_path, capsys, index):
         out = tmp_path / "curves.csv"
@@ -482,6 +499,14 @@ class TestCurvesCommand:
         assert not out.exists()
 
 
+def _source_env() -> dict:
+    """The environment of a child Python that imports countdiag from this tree."""
+    src = str(Path(countdiag.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 class TestRuntimeDependencies:
     def test_simulate_and_diagnose_load_no_scipy(self, tmp_path):
         series = tmp_path / "series.csv"
@@ -496,12 +521,18 @@ class TestRuntimeDependencies:
             "                 '--n', '8', '--json', '-']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = str(Path(countdiag.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
         done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_source_env()
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_runtime_checks_pass(self):
+        """The checks that CI runs on the installed runtime (no test extra, and
+        the numpy floor) pass on this tree, through ``python -m countdiag.cli``."""
+        script = Path(__file__).with_name("runtime_checks.py")
+        done = subprocess.run(
+            [sys.executable, str(script), sys.executable, "-m", "countdiag.cli"],
+            capture_output=True, text=True, env=_source_env(),
+        )
+        assert done.returncode == 0, done.stderr

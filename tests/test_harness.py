@@ -518,6 +518,13 @@ class TestEmitCurves:
         with pytest.raises(ParameterError, match=r"^taus must be one-dimensional, got shape \(1, 2\)$"):
             emit_curves("poisson-dispersion", taus=[[0.5, 0.6]])
 
+    @pytest.mark.parametrize("taus, again", [
+        ([0.5, 0.5], "0.5"), ([1.0, 0.5, 0.75, 1.0, 0.5], "1.0"), (np.linspace(0.5, 0.5, 3), "0.5"),
+    ])
+    def test_tau_listed_twice_is_error(self, taus, again):
+        with pytest.raises(ParameterError, match=f"^tau must list each value once, got {again} again$"):
+            emit_curves("poisson-dispersion", taus=taus, r_values=(0.0,))
+
     @pytest.mark.parametrize("r, shown", [("x", "'x'"), (True, "True")])
     def test_r_must_be_a_real_number(self, r, shown):
         with pytest.raises(ParameterError, match=f"^r must be a finite real number, got {shown}$"):
