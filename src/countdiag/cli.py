@@ -4,14 +4,16 @@ Carlo grids, and emit asymptotic curve tables."""
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import warnings
 
 import numpy as np
 
-from .errors import CountDiagError, ParameterError
+from .errors import CountDiagError, FileAccessError, ParameterError
 from .series import Bar1, MissingSpec, PoiInar1, Seed
 from .simulate import apply_mask, simulate_bar1, simulate_markov_mask, simulate_poi_inar1
 from .diagnostics import INDEX_KINDS, NullSpec, TestReport, test_indices
@@ -92,6 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Fail as writing ``path`` would, before the work that fills it; create nothing."""
+    directory = os.path.join(os.path.dirname(path.rstrip(os.sep)) or ".", "")  # "/" rejects a file
+    try:
+        os.stat(directory)
+        if path.endswith(os.sep) or os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as err:
+        raise FileAccessError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _cmd_simulate(args) -> int:
     seed = Seed(args.seed)
     missing = MissingSpec(args.tau, args.r)
@@ -99,6 +114,7 @@ def _cmd_simulate(args) -> int:
     for flag in flags:
         if getattr(args, flag) is not None:
             raise ParameterError(f"--{flag} is only valid for the {other} model")
+    _check_out(args.out)
     if args.model == "poisson":
         mu = 3.0 if args.mu is None else args.mu
         series = simulate_poi_inar1(PoiInar1(mu, args.rho), args.length, seed)
@@ -163,6 +179,7 @@ def _cmd_mc(args) -> int:
         except ValueError as err:
             raise ParameterError(f"{args.config}: not valid JSON ({err})") from None
     config = grid_config_from_dict(doc)
+    _check_out(args.out)
     results = run_grid(config, workers=args.workers, chunk_size=args.chunk_size)
     write_grid_csv(results, args.out)
     if not args.quiet:

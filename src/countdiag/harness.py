@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     CountDiagError,
     CsvFormatError,
-    DegenerateSeriesError,
     FileAccessError,
     ParameterError,
 )
@@ -60,12 +59,6 @@ class Scenario:
     def index_kinds(self) -> tuple:
         return family_kinds(self.model.family)
 
-    def key(self) -> str:
-        return (
-            f"{_model_key(self.model)}|{_law_key(self.missing)}"
-            f"|T={self.T}|R={self.replications}"
-        )
-
 
 def _real(v) -> float:
     """A real parameter by its float value, so that equal values (``1`` and
@@ -82,10 +75,11 @@ def _axis(key: str, values) -> tuple:
     values = tuple(values) if isinstance(values, (list, tuple, np.ndarray)) else (values,)
     if not values:
         raise ParameterError(f"{key} must list at least one value")
-    for i, value in enumerate(values):
-        _check(key, value)
-        if value in values[:i]:
+    seen = set()
+    for value in values:
+        if _check(key, value) in seen:
             raise ParameterError(f"{key} must list each value once, got {value} again")
+        seen.add(value)
     return values
 
 
@@ -210,7 +204,6 @@ def scenario_asymptotics(scenario: Scenario, kind: str) -> IndexAsymptotics:
 
 def _aggregate(scenario: Scenario, chunk_results: Sequence[dict]) -> ScenarioResult:
     stats = {}
-    all_failed = True
     for kind in scenario.index_kinds:
         est = np.concatenate([c[kind] for c in chunk_results])
         finite = est[np.isfinite(est)]
@@ -227,12 +220,6 @@ def _aggregate(scenario: Scenario, chunk_results: Sequence[dict]) -> ScenarioRes
             n_used=n_used,
             n_failed=n_failed,
         )
-        if n_used > 0:
-            all_failed = False
-    if all_failed:
-        raise DegenerateSeriesError(
-            f"all {scenario.replications} replications degenerate for {scenario.key()}"
-        )
     return ScenarioResult(scenario=scenario, stats=stats)
 
 
@@ -245,8 +232,6 @@ def _simulate(cells: Sequence[Scenario], workers: int, chunk_size: int) -> list:
     matter how many workers execute the units.
     """
     _check("workers", workers, "replications")
-    if not cells:
-        return []
     plan = _chunk_plan(cells[0].replications, chunk_size)
     workers = min(workers, len(plan))
     if workers > 1:
@@ -389,11 +374,7 @@ def result_rows(results: Sequence[ScenarioResult]) -> list:
 
 def write_grid_csv(results: Sequence[ScenarioResult], path) -> None:
     """Write grid results at full precision, one scenario per row."""
-    rows = result_rows(results)
-    with open_text(path, "w") as f:
-        writer = csv.DictWriter(f, fieldnames=_GRID_COLUMNS, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_table(path, _GRID_COLUMNS, result_rows(results))
 
 
 def format_grid_table(results: Sequence[ScenarioResult]) -> str:
@@ -441,27 +422,28 @@ def emit_curves(
         raise ParameterError(f"taus must be one-dimensional, got shape {taus.shape}")
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
-    seen = set()
-    for tau in taus.tolist():
-        if tau in seen:
-            raise ParameterError(f"tau must list each value once, got {tau} again")
-        seen.add(tau)
+    taus = _axis("tau", taus.tolist())
     r_values = _axis("r", r_values)
     spec = INDEX_KINDS[kind]
     model = _null_model(spec.family, mu, rho, n)
     rows = []
     for r in map(_real, r_values):
         for tau in taus:
-            asym = spec.markov(model, MissingSpec(float(tau), r), 1)
+            asym = spec.markov(model, MissingSpec(tau, r), 1)
             rows.append(dict(zip(_CURVE_COLUMNS, (
-                kind, float(tau), r, _real(mu), "" if n is None else n, asym.variance, asym.bias
+                kind, tau, r, _real(mu), "" if n is None else n, asym.variance, asym.bias
             ))))
     return rows
 
 
 def write_curves_csv(rows: Sequence[dict], path) -> None:
+    _write_table(path, _CURVE_COLUMNS, rows)
+
+
+def _write_table(path, columns: Sequence[str], rows: Sequence[dict]) -> None:
+    """Write rows of ``columns`` under a header line; a missing column is empty."""
     with open_text(path, "w") as f:
-        writer = csv.DictWriter(f, fieldnames=_CURVE_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=columns, restval="")
         writer.writeheader()
         writer.writerows(rows)
 

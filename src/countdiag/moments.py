@@ -131,7 +131,7 @@ def _observed_mean(series: CountSeries) -> float:
     ``sample_factorial_moments(series, 1)[0]`` bit for bit; above, it rounds
     but never wraps, as an int64 sum of counts up to 2**63 - 1 would.
     """
-    observed = series.values[series.mask == 1]
+    observed = series.observed_values()
     if observed.size == 0:
         raise DegenerateSeriesError(_NONE_OBSERVED)
     return float(observed.sum(dtype=np.float64)) / observed.size

@@ -15,6 +15,7 @@ The script imports only the standard library and countdiag, writes only into
 its own temporary directory, and exits non-zero at the first failed check.
 """
 
+import csv
 import itertools
 import re
 import subprocess
@@ -61,6 +62,20 @@ def cli_checks(countdiag: list, tmp: Path) -> None:
                    b'{"family": "poisson", "tau": [0.8, 0.8], "T": 50, "replications": 8}')
     no_grid = tmp / "no-grid.csv"
     run("mc", "--config", repeat, "--out", no_grid, code=2, absent=no_grid)
+
+    # an output path in a missing directory: exit 2, the path named, nothing written
+    missing = tmp / "missing" / "grid.csv"
+    err = run("mc", "--config", grid, "--out", missing, code=2, absent=missing.parent).stderr
+    assert f"error: cannot write {missing}: No such file or directory".encode() in err.split(
+        b"\n"), err
+
+    # a cell whose every replication is degenerate is an ordinary row
+    degenerate = write("degenerate.json", b'{"family": "poisson", "mu": 1e-06, "tau": 1.0, '
+                                          b'"r": 0.0, "T": 2, "replications": 4}')
+    run("mc", "--config", degenerate, "--out", tmp / "degenerate.csv", "--quiet")
+    with open(tmp / "degenerate.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert (row["disp_failures"], row["skew_failures"], row["error"]) == ("4", "4", ""), row
 
     # equal values key one stream and print one way
     for r in ("0", "0.0", "-0.0"):

@@ -167,6 +167,20 @@ class TestMarkovSigmaRelations:
         with pytest.raises(ParameterError):
             sigma_poisson_markov(4, 4, 3.0, 0.5, 0.8, 0.0)
 
+    def test_unsupported_binomial_pair_named(self):
+        with pytest.raises(
+            ParameterError, match=r"^unsupported order pair \(1, 4\); only i <= j <= 3$"
+        ):
+            sigma_binomial_markov(1, 4, 10, 0.3, 0.5, 0.8, 0.3)
+
+    def test_order_pair_is_symmetric(self):
+        assert sigma_poisson_markov(2, 1, 3.0, 0.5, 0.8, 0.3) == sigma_poisson_markov(
+            1, 2, 3.0, 0.5, 0.8, 0.3
+        )
+        assert sigma_binomial_markov(2, 1, 10, 0.3, 0.5, 0.8, 0.3) == sigma_binomial_markov(
+            1, 2, 10, 0.3, 0.5, 0.8, 0.3
+        )
+
     @pytest.mark.parametrize("i, j, name", [(True, True, "i"), (1.0, 1, "i"), (1, 2.0, "j")])
     def test_order_type(self, i, j, name):
         # the rule of clt_sigma_general, which these closed forms are the oracle of
@@ -453,6 +467,15 @@ class TestSequenceMaskLaw:
         law = SequenceMaskLaw(0.8, [0.7])
         assert law.lagged_product(1) == 0.7
         assert law.lagged_product(2) == pytest.approx(0.64)
+
+    def test_lag_zero_is_tau(self):
+        assert SequenceMaskLaw(0.8, [0.7]).lagged_product(0) == 0.8
+
+    def test_products_must_be_one_dimensional(self):
+        with pytest.raises(
+            ParameterError, match="^lagged products must be a one-dimensional sequence$"
+        ):
+            SequenceMaskLaw(0.8, [[0.5]])
 
     def test_domain(self):
         with pytest.raises(ParameterError):

@@ -11,6 +11,20 @@ from countdiag import GridConfig, ParameterError, grid_config_from_dict, load_se
 from countdiag.cli import _cmd_simulate, build_parser, main
 from countdiag.harness import emit_curves, write_curves_csv
 
+#: Unwritable output paths under a temporary directory holding the file
+#: ``file``, with the reason each gives.
+UNWRITABLE_OUTS = [
+    ("absent/out.csv", "No such file or directory"),
+    (".", "Is a directory"),
+    ("absent/", "Is a directory"),
+    ("file/out.csv", "Not a directory"),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work ran before the output path was checked")
+
+
 #: A small valid ``mc`` config document.
 VALID_CONFIG = {"family": "poisson", "tau": [0.8], "r": [0.0], "T": [50],
                 "replications": 8, "master_seed": 1}
@@ -79,6 +93,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize("model", [[], ["--model", "binomial", "--n", "8", "--pi", "0.4"]])
+    @pytest.mark.parametrize("name, reason", UNWRITABLE_OUTS)
+    def test_unwritable_out_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, model, name, reason
+    ):
+        # no kernel may run before the path is checked, however long the series
+        for kernel in ("simulate_poi_inar1", "simulate_bar1", "simulate_markov_mask"):
+            monkeypatch.setattr(countdiag.cli, kernel, _refuse)
+        (tmp_path / "file").write_text("")
+        out = os.path.join(tmp_path, name)
+        argv = ["simulate", "--model", "poisson", *model, "--tau", "0.8", "-T", "2000000",
+                "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -365,6 +395,19 @@ class TestMcCommand:
             f"error: workers must be an integer >= 1, got {workers}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, reason", UNWRITABLE_OUTS)
+    def test_unwritable_out_fails_before_the_grid(
+        self, tmp_path, capsys, monkeypatch, name, reason
+    ):
+        monkeypatch.setattr(countdiag.cli, "run_grid", _refuse)
+        (tmp_path / "file").write_text("")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(VALID_CONFIG))
+        out = os.path.join(tmp_path, name)
+        assert main(["mc", "--config", str(config), "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
 
     def test_config_with_byte_order_mark(self, tmp_path):
         config = tmp_path / "config.json"

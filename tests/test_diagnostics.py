@@ -40,6 +40,7 @@ from countdiag.diagnostics import (
     KIND_BIN_SKEWNESS,
     KIND_POI_DISPERSION,
     KIND_POI_SKEWNESS,
+    _clamp_dependence,
     _index_value,
     _null_model,
     family_kinds,
@@ -330,6 +331,10 @@ class TestFitNullParams:
             fitted = fit_null_params(series)
         assert fitted.rho == 0.0
 
+    def test_dependence_at_one_clamped_below_one_with_warning(self):
+        with pytest.warns(UserWarning, match=r"^estimated rho = 1\.0000 >= 1; clamped below 1$"):
+            assert _clamp_dependence(1.0, "rho") == 1 - 1e-9
+
     def test_no_lag1_pair_raises(self):
         # every other position observed: the lag-1 autocorrelation reads 0
         # whatever rho is, which gave rho = 0 and a far too narrow range
@@ -390,6 +395,13 @@ class TestTestFromParams:
         assert rep.lower_critical == pytest.approx(-0.1235, abs=5e-4)
         assert rep.upper_critical == pytest.approx(0.7337, abs=5e-4)
         assert rep.decision == "retain"
+
+    def test_unknown_sided_named(self):
+        with pytest.raises(
+            ParameterError, match=r"^sided must be 'two', 'upper' or 'lower', got 'both'$"
+        ):
+            run_test_from_params("dispersion", "poisson", mu=3.0, rho=0.5, tau=0.8, r=0.3,
+                                 T=250, sided="both")
 
     def test_sidedness_flags(self):
         kwargs = dict(kind="dispersion", family="poisson", mu=3.0, rho=0.5,

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -29,6 +30,8 @@ from countdiag import (
 from countdiag.harness import (
     IndexStats,
     ScenarioResult,
+    _law_key,
+    _model_key,
     _read_csv_rows,
     _read_plain_counts,
     format_grid_table,
@@ -59,11 +62,6 @@ class TestScenario:
         assert small_scenario().index_kinds == ("poisson-dispersion", "poisson-skewness")
         bar = small_scenario(model=Bar1(10, 0.3, 0.5))
         assert bar.index_kinds == ("binomial-dispersion", "binomial-skewness")
-
-    def test_key_distinguishes_cells(self):
-        a, b = small_scenario(), small_scenario(T=250)
-        assert a.key() != b.key()
-        assert a.key() == small_scenario().key()
 
     def test_asymptotics_dispatch(self):
         s = small_scenario()
@@ -152,6 +150,18 @@ class TestRunScenario:
         assert stat.n_failed > 0
         assert stat.n_used + stat.n_failed == 2000
 
+    def test_all_degenerate_cell_is_an_ordinary_row(self):
+        # mu = 1e-6 and T = 2: every path is all zeros, so no replication has an index
+        s = small_scenario(model=PoiInar1(1e-6, 0.5), missing=MissingSpec(1.0, 0.0), T=2,
+                           replications=4)
+        res = run_scenario(s)
+        assert res.error is None
+        for kind, stat in res.stats.items():
+            assert (stat.n_used, stat.n_failed) == (0, 4)
+            assert math.isnan(stat.sim_mean) and math.isnan(stat.sim_sd)
+            asym = scenario_asymptotics(s, kind)
+            assert (stat.asym_mean, stat.asym_sd) == (asym.mean, asym.sd)
+
     def test_close_to_asymptotics_at_large_T(self):
         res = run_scenario(small_scenario(T=500, replications=4000, master_seed=11))
         stat = res.stats["poisson-dispersion"]
@@ -201,8 +211,9 @@ class TestRunGrid:
                 doc = {"family": "poisson", "mu": mu, "tau": 0.8, "r": r, "T": 50,
                        "replications": 64}
                 results = run_grid(grid_config_from_dict(doc))
-                key = results[0].scenario.key()
-                assert key == "poi(mu=3.0,rho=0.5)|mask(tau=0.8,r=0.0)|T=50|R=64"
+                s = results[0].scenario
+                keys = (_model_key(s.model), _law_key(s.missing), s.T, s.replications)
+                assert keys == ("poi(mu=3.0,rho=0.5)", "mask(tau=0.8,r=0.0)", 50, 64)
                 write_grid_csv(results, tmp_path / "grid.csv")
                 printed.add(((tmp_path / "grid.csv").read_bytes(), format_grid_table(results)))
         ((grid, table),) = printed
@@ -258,6 +269,20 @@ class TestRunGrid:
         assert len(results) == 2
         assert results[0].error is None
         assert results[1].error is not None and results[1].stats == {}
+
+    def test_all_degenerate_cell_counts_its_failures(self, tmp_path):
+        doc = {"family": "poisson", "mu": 1e-06, "tau": 1.0, "r": 0.0, "T": 2,
+               "replications": 4}
+        results = run_grid(grid_config_from_dict(doc))
+        write_grid_csv(results, tmp_path / "grid.csv")
+        with open(tmp_path / "grid.csv", newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert row["disp_failures"] == row["skew_failures"] == "4"
+        assert row["disp_sim_mean"] == row["skew_sim_sd"] == "nan"
+        assert all(row[f"{p}_asym_{s}"] not in ("", "nan") for p in ("disp", "skew")
+                   for s in ("mean", "sd"))
+        assert row["error"] == ""
+        assert format_grid_table(results).splitlines()[1].split()[-1] == "4"
 
     def test_rows_and_csv(self, tmp_path):
         config = GridConfig(
@@ -614,6 +639,18 @@ class TestSeriesCsv:
         with pytest.raises(CsvFormatError, match="not UTF-8") as err:
             load_series_csv(p)
         assert str(p) in str(err.value)
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("x\n")
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(str(p))}: no data rows$"):
+            load_series_csv(p)
+
+    def test_non_number_names_its_row(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("1\nabc\n2\n")
+        with pytest.raises(CsvFormatError, match=r"^row 2: 'abc' is not a count$"):
+            load_series_csv(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "s.csv"

@@ -199,6 +199,10 @@ class TestDrAcf:
         with pytest.raises(DegenerateSeriesError):
             dr_acf(CountSeries([2, 2, 2, 2]), 1)
 
+    def test_max_lag_beyond_the_series_named(self):
+        with pytest.raises(ParameterError, match=r"^max lag must lie in \[1, 9\], got 10$"):
+            dr_acf(CountSeries(np.arange(10)), 10)
+
     def test_lag_type(self):
         s = CountSeries([3, 1, 4, 1, 5])
         for max_lag in (True, 2.0, 0):
@@ -272,6 +276,19 @@ class TestDurbinLevinson:
     def test_unit_partial_rejected(self):
         with pytest.raises(NumericalDegeneracyError):
             durbin_levinson_pacf([1.0, 1.0])
+
+    def test_partial_beyond_one_named(self):
+        # phi_22 = (0 - 0.81) / (1 - 0.81)
+        with pytest.raises(
+            NumericalDegeneracyError, match=r"^\|phi_22\| = 4\.263157894736843 >= 1$"
+        ):
+            durbin_levinson_pacf([0.9, 0.0])
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(
+            ParameterError, match="^need a one-dimensional sequence of at least one lag$"
+        ):
+            durbin_levinson_pacf([[0.5]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_autocorrelation_named(self, bad):

@@ -25,6 +25,12 @@ class TestCountSeries:
         with pytest.raises(ParameterError):
             CountSeries([1, 2], [1])
 
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(
+            ParameterError, match=r"^values must be one-dimensional, got shape \(1, 2\)$"
+        ):
+            CountSeries([[1, 2]])
+
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             CountSeries([])

@@ -511,6 +511,12 @@ class TestTransitionTable:
         for k in range(K):
             assert upper_tail(functools.partial(transition_pmf, model, k), J) < TAIL
 
+    def test_table_budget_after_the_early_exit(self):
+        # 8 mu^2 fits the budget at mu = 150, but the table of its K and J does not
+        assert 8.0 * 150.0**2 <= simulate._TABLE
+        assert _poisson_rows(150.0, 0.0) is None
+        assert _poisson_rows(140.0, 0.0) is not None
+
     @pytest.mark.parametrize(
         "model", [("poisson", 3.0, 0.5), ("poisson", 3.0, 0.99), ("binomial", 25, 0.3, -0.4)]
     )
