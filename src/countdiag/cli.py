@@ -159,6 +159,8 @@ def _cmd_diagnose(args) -> int:
         ignore_missing=args.ignore_missing,
     )
     kinds = ["dispersion", "skewness"] if args.index == "both" else [args.index]
+    if args.json_out and args.json_out != "-":
+        _check_out(args.json_out)
     reports = test_indices(series, null, kinds, sided=args.sided)
     for report in reports:
         print(_render_report(report))

@@ -20,7 +20,7 @@ from .errors import (
     FileAccessError,
     ParameterError,
 )
-from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check
+from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check, _pack_mask
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import Tally
 from .asymptotics import IndexAsymptotics
@@ -129,8 +129,9 @@ def _chunk_seed(master_seed: int, key: str, chunk_index: int):
 def _index_estimates(tally: Tally, mask, kinds, n=None) -> dict:
     """Index estimates per replication row; NaN marks a degenerate one.
 
-    ``tally`` is a :class:`Tally` of the paths, read once under ``mask``;
-    each estimate has a last axis, one entry per prefix ``[:, :end]`` of the
+    ``tally`` is a :class:`Tally` of the paths, read once under ``mask``,
+    given as packed words (see :func:`~countdiag.series._pack_mask`); each
+    estimate has a last axis, one entry per prefix ``[:, :end]`` of the
     tally's ends.
     """
     muhat = tally.moments(mask, max(INDEX_KINDS[k].order for k in kinds))
@@ -143,10 +144,11 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
     The cells share the master seed.  Each model's paths are drawn once, from
     the stream keyed by (master seed, model, chunk), at the cells' longest T,
     and tallied in place with the model's distinct T as prefix ends.  Each
-    mask law's mask is drawn once, from (master seed, law, chunk), and every
-    tally is read under it; every cell takes the prefix of its own T.  An
-    all-observed law (tau = 1) draws no stream and shares one mask whatever r
-    is.  Laws are taken one at a time, so that a single mask is alive.
+    mask law's mask is drawn once, from (master seed, law, chunk), as packed
+    words, and every tally is read under it; every cell takes the prefix of
+    its own T.  An all-observed law (tau = 1) draws no stream and shares one
+    mask of all-ones words whatever r is.  Laws are taken one at a time, so
+    that a single mask is alive.
     """
     T = max(c.T for c in cells)
 
@@ -166,11 +168,12 @@ def _run_unit(cells: Sequence[Scenario], chunk_index: int, size: int) -> list:
             paths, n = _poisson_paths(m.mu, m.rho, T, size, stream), None
         else:
             paths, n = _binomial_paths(m.n, m.pi, m.rho, T, size, stream), m.n
-        tallies[m] = Tally(paths, sorted(ends)), n  # the keys overwrite the paths
+        tallies[m] = Tally(paths, sorted(ends)), n  # the tally overwrites the paths
+        del paths
     out = [None] * len(cells)
     for law, by_model in laws.items():
         if law is None:
-            mask = np.ones((size, T), dtype=np.int8)
+            mask = _pack_mask(np.ones((size, T), dtype=np.int8))
         else:
             # no name holds the uniforms, so the kernel frees them once read
             mask = _markov_mask_from_uniforms(rng(_law_key(law)).random((size, T)), law.tau, law.r)
@@ -377,19 +380,28 @@ def write_grid_csv(results: Sequence[ScenarioResult], path) -> None:
     _write_table(path, _GRID_COLUMNS, result_rows(results))
 
 
+def _axis_value(v: float) -> str:
+    """A tau or r for the printed table: two decimals where they are exact,
+    else the shortest spelling of the value, so that no two values print alike."""
+    fixed = f"{v:.2f}"
+    return fixed if float(fixed) == v else repr(v)
+
+
 def format_grid_table(results: Sequence[ScenarioResult]) -> str:
-    """Render grid results as a plain-text table with 3-decimal entries."""
+    """Render grid results as a plain-text table with 3-decimal entries; an
+    error row reads ``error`` in the fail column, followed by its message."""
     columns = [f"{p}_{s}" for p in _PREFIXES for s, _ in _TABLE_COLUMNS]
     head = ["tau", "r", "T", "n"] + [h.format(p) for p in _PREFIXES for _, h in _TABLE_COLUMNS]
     lines = ["  ".join(f"{h:>9}" for h in head + ["fail"])]
     for row in result_rows(results):
         fails = max(int(row.get(f"{p}_failures") or 0) for p in _PREFIXES)
         cells = [
-            f"{row['tau']:.2f}", f"{row['r']:.2f}", str(row["T"]), str(row["n"]),
+            _axis_value(row["tau"]), _axis_value(row["r"]), str(row["T"]), str(row["n"]),
         ] + [
             "" if row.get(c) is None or row.get(c) == "" else f"{row[c]:.3f}" for c in columns
-        ] + [str(fails)]
-        lines.append("  ".join(f"{c:>9}" for c in cells))
+        ] + ["error" if row["error"] else str(fails)]
+        line = "  ".join(f"{c:>9}" for c in cells)
+        lines.append(f"{line}  {row['error']}" if row["error"] else line)
     return "\n".join(lines)
 
 

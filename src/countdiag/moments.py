@@ -9,28 +9,53 @@ from math import comb, factorial, perm, prod
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import _NONE_OBSERVED, CountSeries, _check, _integer
+from .series import _NONE_OBSERVED, CountSeries, _check, _integer, _pack_mask, _unpack_mask
+
+
+#: Most count values a tally holds as bit planes: 64 planes of packed words
+#: take about as many bytes as the int64 counts they replace.
+_PLANES = 64
+#: The set bits of each byte value, for numpy before 2.0, which has no bitwise_count.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word, as uint8."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
+    octets = np.ascontiguousarray(words).view(np.uint8)
+    return _BYTE_BITS[octets].reshape(words.shape + (8,)).sum(axis=-1, dtype=np.uint8)
 
 
 class Tally:
-    """The counts of (..., T) rows as histogram keys, for masked factorial moments.
+    """The counts of (..., T) rows, laid out for masked factorial moments.
 
     Simulated and observed counts are small integers, so a row's factorial
-    moments are its value histogram times a falling-factorial table.  The
-    tally is the per-paths half of that product: position t of row i holds
-    the bin key ``(i * S + s) * V + x - lo``, where s is the slot of t among
-    the S prefix ``ends`` (strictly increasing, in 1..T; ``[T]`` for whole
-    rows) and ``lo..lo+V-1`` the value window.  The per-mask half,
-    :meth:`moments`, is one ``bincount`` of the keys weighted by the mask.
-    The window starts at the least count and holds at most
-    ``ends[-1] // S`` values, so the histogram never has more bins than the
-    tally has positions, whatever the counts.  The rare counts above the
-    window are kept aside (flat position, row-and-slot group, value), and
-    their key is one spare bin past the windows; a second weighted
-    ``bincount`` adds them per group.
+    moments are its histogram of values times a falling-factorial table.
+    The tally is the per-paths half of that product, built once; the
+    per-mask half, :meth:`moments`, reads the histogram of each row and
+    prefix slot under a mask given as :func:`~countdiag.series._pack_mask`
+    words.  Slot s of the S prefix ``ends`` (strictly increasing, in 1..T;
+    ``[T]`` for whole rows) holds the positions from the end before it up to
+    its own.  The counts alone pick one of two layouts:
 
-    ``counts`` must be integers; an int64 array is overwritten with the keys,
-    so pass one that nothing else reads.
+    - **Bit planes**, when the counts span at most ``_PLANES`` values
+      ``lo..lo+V-1``: one packed plane per value, whose bit t is set where a
+      row's count at t is that value.  Each slot keeps its own copy of the
+      words it spans, with the bits outside it cleared, so a read is the
+      popcount of plane & mask, summed over each slot's words.
+    - **Histogram keys**, for any other counts: position t of row i holds
+      the bin key ``(i * S + s) * V + x - lo``, and a read is one
+      ``bincount`` of the keys weighted by the unpacked mask.  The window
+      starts at the least count and holds at most ``ends[-1] // S`` values,
+      so the histogram never has more bins than the tally has positions,
+      whatever the counts.  The rare counts above the window are kept aside
+      (flat position, row-and-slot group, value), and their key is one spare
+      bin past the windows; a second weighted ``bincount`` adds them per
+      group.
+
+    ``counts`` must be integers; an int64 array may be overwritten, so pass
+    one that nothing else reads.
     """
 
     def __init__(self, counts, ends):
@@ -49,40 +74,98 @@ class Tally:
         rows = prod(self.lead)
         key = counts.astype(np.int64, copy=False)[..., :n].reshape(rows, n)
         lo, hi = (int(key.min()), int(key.max())) if key.size else (0, 0)
-        V = max(1, min(hi - lo + 1, n // S))
-        at = np.flatnonzero(key >= lo + V)
-        row, col = np.divmod(at, n)
-        value = key[row, col]
-        for s in range(1, S):
-            key[:, bounds[s - 1] : bounds[s]] += s * V
-        key += (V * S * np.arange(rows) - lo)[:, None]
-        key[row, col] = rows * S * V  # one spare bin past the windows
-        row *= S
-        row += np.searchsorted(bounds, col, side="right")  # the row-and-slot group
-        self.outside = (at, row, value)
-        self.key, self.lo, self.width, self.segments = key, lo, V, S
+        if lo:
+            key -= lo
+        self.lo, self.segments, self.n = lo, S, n
+        if hi - lo < _PLANES:
+            self.width, self.outside = hi - lo + 1, None
+            self._planes(key)
+        else:
+            self.width = V = min(hi - lo + 1, n // S)
+            at = np.flatnonzero(key >= V)
+            row, col = np.divmod(at, n)
+            value = key[row, col] + lo
+            for s in range(1, S):
+                key[:, bounds[s - 1] : bounds[s]] += s * V
+            key += (V * S * np.arange(rows))[:, None]
+            key[row, col] = rows * S * V  # one spare bin past the windows
+            row *= S
+            row += np.searchsorted(bounds, col, side="right")  # the row-and-slot group
+            self.outside = (at, row, value)
+            self.key = key
 
-    def moments(self, mask, m: int) -> np.ndarray:
-        """Factorial moments of orders 1..m over the mask-1 positions of each row.
+    def _planes(self, key) -> None:
+        """Build the (V, slot words, rows) planes of the counts ``key - lo``.
 
-        ``muhat[k-1]`` is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with
-        nothing observed, and its last axis holds one entry per prefix
-        ``[..., :end]``.  ``mask`` has the counts' shape, or a longer last axis.
-        Every sum is of integer-valued float64, exact below 2**53 in any order,
-        so each moment equals the elementwise masked sum bit for bit there.
+        The binary digits of the counts are packed into words once each.
+        Before digit d, plane i for each i that 2**(d+1) divides holds the
+        positions whose counts lie in i..i+2**(d+1)-1; digit d splits off the
+        upper half into plane i + 2**d, if that value is in the window.
         """
-        if m < 1:
-            raise ParameterError(f"max order must be >= 1, got {m}")
-        rows, n = self.key.shape
-        S, V = self.segments, self.width
-        groups = rows * S
-        observed = np.asarray(mask)[..., :n].reshape(rows, n) == 1
+        rows, n = key.shape
+        V = self.width
+        # per slot, the words it spans and the bits of each within the slot
+        cols, bits = [], []
+        for a, b in zip([0] + self.ends[:-1], self.ends):
+            w = np.arange(a // 64, -(-b // 64))
+            low = np.maximum(a - 64 * w, 0).astype(np.uint64)
+            span = np.minimum(b - 64 * w, 64).astype(np.uint64) - low  # 1..64
+            cols.append(w)
+            bits.append(np.uint64(2**64 - 1) >> (np.uint64(64) - span) << low)
+        self.first = np.cumsum([0] + [w.size for w in cols]).tolist()
+        self.cols = np.concatenate(cols)
+        self.planes = planes = np.empty((V, self.cols.size, rows), dtype=np.uint64)
+        planes[0] = np.concatenate(bits)[:, None]
+        digits = np.zeros((rows, 64 * -(-n // 64)), dtype=np.uint8)
+        np.copyto(digits[:, :n], key, casting="unsafe")
+        scratch = np.empty_like(digits)
+        for d in reversed(range((V - 1).bit_length())):
+            np.bitwise_and(digits, 1 << d, out=scratch)
+            digit = np.packbits(scratch, axis=-1, bitorder="little").view("<u8").T[self.cols]
+            for i in range(0, V - (1 << d), 2 << d):
+                np.bitwise_and(planes[i], digit, out=planes[i + (1 << d)])
+                planes[i] ^= planes[i + (1 << d)]
+
+    def _histogram(self, words):
+        """Per row and slot, the observed positions of each window value, as a
+        (rows * S, V) float64 array, and the observed kept-aside counts as
+        (group, value) arrays."""
+        rows, S = prod(self.lead), self.segments
+        words = np.asarray(words).reshape(rows, -1)
+        if self.outside is None:
+            hit = self.planes & words.T[self.cols]
+            ones = _popcount(hit)
+            del hit
+            hist = np.empty((S, self.width, rows), dtype=np.min_scalar_type(self.n))
+            for s in range(S):
+                np.sum(ones[:, self.first[s] : self.first[s + 1]], axis=1, dtype=hist.dtype,
+                       out=hist[s])
+            hist = hist.transpose(2, 0, 1).reshape(rows * S, self.width).astype(np.float64)
+            return hist, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+        observed = _unpack_mask(words, self.n).view(bool).reshape(rows, self.n)
+        groups, V = rows * S, self.width
         hist = np.bincount(self.key.ravel(), weights=observed.ravel(), minlength=groups * V + 1)
         hist = hist[: groups * V].reshape(groups, V)
         at, group, value = self.outside
         seen = observed.ravel()[at]
-        del observed
-        group, value = group[seen], value[seen]
+        return hist, group[seen], value[seen]
+
+    def moments(self, words, m: int) -> np.ndarray:
+        """Factorial moments of orders 1..m over the mask-1 positions of each row.
+
+        ``muhat[k-1]`` is sum_t O_t (X_t)_(k) / sum_t O_t, NaN for a row with
+        nothing observed, and its last axis holds one entry per prefix
+        ``[..., :end]``.  ``words`` are the mask's :func:`_pack_mask` words,
+        with the counts' leading shape and at least their steps.  Every sum
+        is of integer-valued float64, exact below 2**53 in any order, so each
+        moment equals the elementwise masked sum bit for bit there, on either
+        layout.
+        """
+        if m < 1:
+            raise ParameterError(f"max order must be >= 1, got {m}")
+        rows, S = prod(self.lead), self.segments
+        groups = rows * S
+        hist, group, value = self._histogram(words)
         n_obs = hist.sum(axis=1) + np.bincount(group, minlength=groups)
         # the table stops at the largest count observed within the window
         width = 1 + np.flatnonzero(hist.any(axis=0)).max(initial=0)
@@ -121,7 +204,7 @@ def sample_factorial_moments(series: CountSeries, m: int) -> np.ndarray:
     # masked positions take the first observed count: their keys are never
     # read, and the window still starts at the least observed count
     counts = np.where(observed, values, values[np.argmax(observed)])
-    return Tally(counts, [series.T]).moments(series.mask, m)[..., 0]
+    return Tally(counts, [series.T]).moments(_pack_mask(series.mask), m)[..., 0]
 
 
 def _observed_mean(series: CountSeries) -> float:

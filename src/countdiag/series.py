@@ -73,7 +73,9 @@ def _integer(name: str, value):
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
-def _as_1d_int64(x, name: str) -> np.ndarray:
+def _as_1d_integers(x, name: str) -> np.ndarray:
+    """``x`` as a non-empty one-dimensional array of integers that int64 holds,
+    in its own dtype, else a ParameterError naming ``name``."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -90,7 +92,25 @@ def _as_1d_int64(x, name: str) -> np.ndarray:
             i = beyond[0]
             bound = "exceeds 2**63 - 1" if arr[i] > 0 else "is below -2**63"
             raise ParameterError(f"{name} entry {arr[i]} at position {i} (0-based) {bound}")
-    return arr.astype(np.int64)
+    return arr
+
+
+def _pack_mask(mask) -> np.ndarray:
+    """A 0/1 mask as rows of uint64 words along its last axis, the one mask
+    layout of the Monte Carlo engine: bit t of a row's words (little-endian
+    bit order) holds step t, and the bits past the row's T steps are 0."""
+    mask = np.asarray(mask)
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    words = np.zeros(mask.shape[:-1] + (8 * -(-mask.shape[-1] // 64),), dtype=np.uint8)
+    words[..., : packed.shape[-1]] = packed
+    return words.view("<u8")
+
+
+def _unpack_mask(words, T: int) -> np.ndarray:
+    """The int8 0/1 mask of the first T steps of rows of words that
+    :func:`_pack_mask` laid out."""
+    octets = np.asarray(words).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=T, bitorder="little").view(np.int8)
 
 
 @dataclass(eq=False)
@@ -110,16 +130,18 @@ class CountSeries:
     mask: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.values = _as_1d_int64(self.values, "values")
+        self.values = _as_1d_integers(self.values, "values").astype(np.int64)
         if self.mask is None:
             self.mask = np.ones_like(self.values, dtype=np.int8)
         else:
-            mask = _as_1d_int64(self.mask, "mask")
-            if not np.all((mask == 0) | (mask == 1)):  # before int8 wraps 256 to 0
-                i = int(np.flatnonzero((mask != 0) & (mask != 1))[0])
-                raise ParameterError(
-                    f"mask entries must be 0 or 1, got {mask[i]} at position {i} (0-based)"
-                )
+            mask = _as_1d_integers(self.mask, "mask")
+            if mask.dtype.kind != "b":  # checked in its own dtype, before int8 wraps 256 to 0
+                bad = (mask != 0) & (mask != 1)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise ParameterError(
+                        f"mask entries must be 0 or 1, got {int(mask[i])} at position {i} (0-based)"
+                    )
             self.mask = mask.astype(np.int8)
         if self.mask.shape != self.values.shape:
             raise ParameterError(

@@ -9,7 +9,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .series import Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check, _thinnings
+from .series import (
+    Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check, _pack_mask, _thinnings,
+    _unpack_mask,
+)
 
 
 #: Probability mass a transition table may leave out: the spacing of
@@ -264,30 +267,31 @@ def simulate_bar1(spec: Bar1, T: int, seed: Seed) -> CountSeries:
     return CountSeries(_binomial_paths(spec.n, spec.pi, spec.rho, T, 1, seed.generator())[0])
 
 
-def _packed_steps(u: np.ndarray, p: float, first: np.ndarray, words: int) -> np.ndarray:
-    """Rows of uint64 words whose bit t is u[:, t] < p, with bit 0 taken from
-    ``first`` and the bits past the row's steps left 0."""
-    steps = np.zeros((len(u), 64 * words), dtype=bool)
-    np.less(u, p, out=steps[:, : u.shape[1]])
+def _packed_steps(u: np.ndarray, p: float, first: np.ndarray) -> np.ndarray:
+    """Rows of :func:`~countdiag.series._pack_mask` words whose bit t is
+    u[:, t] < p, with bit 0 taken from ``first``."""
+    steps = np.less(u, p)
     steps[:, 0] = first
-    return np.packbits(steps, axis=-1, bitorder="little").view("<u8")
+    return _pack_mask(steps)
 
 
 def _markov_mask_from_uniforms(u: np.ndarray, tau: float, r: float) -> np.ndarray:
-    """Build stationary int8 Markov mask paths from uniforms along the last axis.
+    """Build stationary Markov mask paths from uniforms along the last axis,
+    as :func:`~countdiag.series._pack_mask` words: each row of T steps
+    becomes a row of ceil(T / 64) uint64 words, bit t holding step t.
 
     A latch: one uniform per step either forces the state (below P(1|0) -> 1,
     at or above P(1|1) -> 0) or copies the previous state.  The first step of
     each path is forced to u < tau.  At r = 0 every step is forced and the
     mask is u < tau.  Requires r >= 0 so that P(1|0) <= tau <= P(1|1).
 
-    The latch runs 64 steps per machine word.  Each row is packed into uint64
-    words, bit t holding step t, as g (a gain: forced to 1) and h (a hold: not
-    forced to 0); a gain is also a hold.  In the sum s = g + h, a gain leaves
-    a carry that runs up through the copy steps after it (h = 1, g = 0) and
-    stops at the first forced 0 (h = 0), so a copy step's bit of s ^ h is the
-    carry into it, which is the previous state, and the mask is
-    ((s ^ h) | g) & h.  Bit 0 is forced, so no carry enters a row.
+    The latch runs 64 steps per machine word, on the gains g (forced to 1)
+    and holds h (not forced to 0) of each row, packed the same way; a gain
+    is also a hold.  In the sum s = g + h, a gain leaves a carry that runs
+    up through the copy steps after it (h = 1, g = 0) and stops at the first
+    forced 0 (h = 0), so a copy step's bit of s ^ h is the carry into it,
+    which is the previous state, and the mask is ((s ^ h) | g) & h.  Bit 0
+    is forced, so no carry enters a row.
 
     Each row's words add as one long integer.  A word of all ones passes the
     carry into it on; any other word passes on just its own overflow.  So the
@@ -301,14 +305,14 @@ def _markov_mask_from_uniforms(u: np.ndarray, tau: float, r: float) -> np.ndarra
     p_gain = tau * (1.0 - r)  # P(O_t = 1 | O_{t-1} = 0)
     p_stay = tau + (1.0 - tau) * r  # P(O_t = 1 | O_{t-1} = 1)
     if p_gain == p_stay:
-        return np.less(u, tau, order="C").view(np.int8)
+        return _pack_mask(np.less(u, tau))
     shape, T = u.shape, u.shape[-1]
-    words = -(-T // 64)
     u = u.reshape(-1, T)
     first = u[:, 0] < tau
-    g = _packed_steps(u, p_gain, first, words)
-    h = _packed_steps(u, p_stay, first, words)
+    g = _packed_steps(u, p_gain, first)
+    h = _packed_steps(u, p_stay, first)
     del u
+    words = g.shape[1]
     s = g + h
     overflow = s < g
     # the last word at or before each that is not all ones; word 0 never is,
@@ -319,8 +323,7 @@ def _markov_mask_from_uniforms(u: np.ndarray, tau: float, r: float) -> np.ndarra
     s ^= h
     s |= g
     s &= h
-    states = s.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(states, axis=-1, count=T, bitorder="little").view(np.int8).reshape(shape)
+    return s.reshape(shape[:-1] + (words,))
 
 
 def simulate_markov_mask(spec: MissingSpec, T: int, seed: Seed) -> np.ndarray:
@@ -331,7 +334,7 @@ def simulate_markov_mask(spec: MissingSpec, T: int, seed: Seed) -> np.ndarray:
     the initial state is Bernoulli(tau).  ``r = 0`` yields an i.i.d. mask.
     """
     _check("T", T)
-    return _markov_mask_from_uniforms(seed.generator().random(T), spec.tau, spec.r)
+    return _unpack_mask(_markov_mask_from_uniforms(seed.generator().random(T), spec.tau, spec.r), T)
 
 
 def apply_mask(series: CountSeries, mask) -> CountSeries:

@@ -24,8 +24,10 @@ import tempfile
 from pathlib import Path
 
 from countdiag import (
-    GridConfig, MissingSpec, ParameterError, Seed, emit_curves, run_grid, simulate_markov_mask,
+    CountSeries, GridConfig, MissingSpec, ParameterError, PoiInar1, Seed, emit_curves, run_grid,
+    sample_factorial_moments, simulate_markov_mask, simulate_poi_inar1,
 )
+from countdiag.moments import Tally
 
 
 def cli_checks(countdiag: list, tmp: Path) -> None:
@@ -68,6 +70,10 @@ def cli_checks(countdiag: list, tmp: Path) -> None:
     err = run("mc", "--config", grid, "--out", missing, code=2, absent=missing.parent).stderr
     assert f"error: cannot write {missing}: No such file or directory".encode() in err.split(
         b"\n"), err
+    # diagnose checks its --json path before it diagnoses: nothing printed
+    done = run("diagnose", "--input", series, "--null", "binomial", "--n", "8",
+               "--json", missing, code=2, absent=missing.parent)
+    assert done.stdout == b"", done.stdout
 
     # a cell whose every replication is degenerate is an ordinary row
     degenerate = write("degenerate.json", b'{"family": "poisson", "mu": 1e-06, "tau": 1.0, '
@@ -213,6 +219,23 @@ def library_checks() -> None:
             want.append(state)
         got = simulate_markov_mask(MissingSpec(tau, r), T, Seed(7))
         assert got.tolist() == [int(s) for s in want], (tau, r)
+
+    # the tally's two layouts (bit planes read by popcount, the byte table
+    # before numpy 2.0; histogram keys for counts spanning more than 64
+    # values) against a plain loop of exact sums over a masked series
+    values = simulate_poi_inar1(PoiInar1(3.0, 0.5), T, Seed(8)).values.tolist()
+    mask = simulate_markov_mask(MissingSpec(0.8, 0.6), T, Seed(8, 1)).tolist()
+    for far in (None, 1000):
+        if far is not None:
+            values[T // 3], mask[T // 3] = far, 1
+        assert hasattr(Tally(values, [T]), "planes") == (far is None), far
+        sums, seen = [0, 0, 0], 0
+        for x, o in zip(values, mask):
+            if o:
+                seen += 1
+                sums = [sums[0] + x, sums[1] + x * (x - 1), sums[2] + x * (x - 1) * (x - 2)]
+        got = sample_factorial_moments(CountSeries(values, mask), 3).tolist()
+        assert got == [s / seen for s in sums], (far, got)
 
 
 def main(countdiag: list) -> int:

@@ -40,6 +40,7 @@ from countdiag import (
 from countdiag import test_from_params as params_report
 from countdiag.harness import _index_estimates
 from countdiag.moments import Tally
+from countdiag.series import _pack_mask, _unpack_mask
 from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 from conftest import (
@@ -355,8 +356,10 @@ def test_criterion_5_property_suites():
     T = 1000
     rng = np.random.default_rng(np.random.SeedSequence([MC_SEED, 4]))
     x = _poisson_paths(3.0, 0.5, T, R_MC, rng)
-    o = _markov_mask_from_uniforms(rng.random((R_MC, T)), 0.8, 0.6)
-    est = _index_estimates(Tally(x.copy(), [T]), o, ("poisson-dispersion", "poisson-skewness"))
+    o = _unpack_mask(_markov_mask_from_uniforms(rng.random((R_MC, T)), 0.8, 0.6), T)
+    est = _index_estimates(
+        Tally(x.copy(), [T]), _pack_mask(o), ("poisson-dispersion", "poisson-skewness")
+    )
     z = norm.ppf(0.975)
     sizes = {}
     for kind, asym in (

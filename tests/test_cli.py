@@ -204,6 +204,18 @@ class TestDiagnoseCommand:
             assert r["lower_critical"] <= r["upper_critical"]
             assert r["decision"] in ("reject", "retain")
 
+    @pytest.mark.parametrize("name, reason", UNWRITABLE_OUTS)
+    def test_unwritable_json_fails_before_diagnosing(
+        self, series_file, tmp_path, capsys, monkeypatch, name, reason
+    ):
+        monkeypatch.setattr(countdiag.cli, "test_indices", _refuse)
+        (tmp_path / "file").write_text("")
+        payload = os.path.join(tmp_path, name)
+        argv = ["diagnose", "--input", str(series_file), "--null", "poisson", "--json", payload]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {payload}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "series.csv"]
+
     def test_json_counts_observed_positions(self, series_file, tmp_path):
         payload = tmp_path / "report.json"
         rc = main([

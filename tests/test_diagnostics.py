@@ -49,6 +49,7 @@ from countdiag.cli import build_parser, main
 from countdiag.harness import _index_estimates, write_series_csv
 from countdiag.missingness import dr_acf
 from countdiag.moments import Tally, sample_factorial_moments
+from countdiag.series import _pack_mask
 
 
 class TestIndexEstimators:
@@ -127,7 +128,8 @@ class TestBatchedEstimator:
         values, mask = (np.array(a, dtype=np.int64) for a in rows)
         n = 10 if family == "binomial" else None
         kinds = [k for k, spec in INDEX_KINDS.items() if spec.family == family]
-        batched = _index_estimates(Tally(values.copy(), [values.shape[1]]), mask, kinds, n=n)
+        words = _pack_mask(mask)
+        batched = _index_estimates(Tally(values.copy(), [values.shape[1]]), words, kinds, n=n)
         for kind in kinds:
             for i in range(values.shape[0]):
                 series = CountSeries(values[i], mask[i])

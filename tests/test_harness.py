@@ -270,6 +270,18 @@ class TestRunGrid:
         assert results[0].error is None
         assert results[1].error is not None and results[1].stats == {}
 
+    def test_error_row_prints_its_tau_and_error(self):
+        # a failed cell must not read as a cell at tau 0.01 with no failures
+        doc = {"family": "poisson", "tau": [0.8, 0.005], "r": 0.0, "T": 50, "replications": 20}
+        results = run_grid(grid_config_from_dict(doc))
+        error = "tau must be at least 0.01 for the asymptotics, got 0.005"
+        assert results[1].error == error
+        lines = format_grid_table(results).splitlines()
+        assert lines[1].startswith("     0.80       0.00         50")
+        assert lines[2] == (
+            "    0.005       0.00         50" + " " * 11 + " " * 88 + "      error  " + error
+        )
+
     def test_all_degenerate_cell_counts_its_failures(self, tmp_path):
         doc = {"family": "poisson", "mu": 1e-06, "tau": 1.0, "r": 0.0, "T": 2,
                "replications": 4}
@@ -326,7 +338,8 @@ class TestRunGrid:
             "    sd asym   skew sim  skew asym     sd sim    sd asym       fail",
             "     0.80       0.30        100         10      0.875      0.900      0.250"
             "      0.312      0.938      0.950      0.125      0.188          3",
-            "     0.80       0.30        100         10" + " " * 88 + "          0",
+            "     0.80       0.30        100         10" + " " * 88
+            + "      error  all 50 replications degenerate",
         ]
 
 

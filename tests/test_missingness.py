@@ -28,6 +28,7 @@ from countdiag import (
     simulate_poi_inar1,
 )
 from countdiag.missingness import _lag_sums, _two_sided_z
+from countdiag.series import _unpack_mask
 from countdiag.simulate import _markov_mask_from_uniforms, _poisson_paths
 
 
@@ -364,7 +365,8 @@ def _band_test_rejection_rate(tau, r, T, R, seed):
     if tau >= 1.0:
         o = np.ones_like(x)
     else:
-        o = _markov_mask_from_uniforms(rng.random((R, T)), tau, r).astype(np.float64)
+        o = _unpack_mask(_markov_mask_from_uniforms(rng.random((R, T)), tau, r), T)
+        o = o.astype(np.float64)
     mu = (o * x).sum(1) / o.sum(1)
     d = (x - mu[:, None]) * o
     rho1 = ((d[:, :-1] * d[:, 1:]).sum(1) / T) / ((d * d).sum(1) / T)

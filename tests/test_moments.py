@@ -17,9 +17,10 @@ from countdiag import (
     sample_factorial_moments,
     stirling2,
 )
-from countdiag.moments import Tally, _observed_mean
+from countdiag.moments import Tally, _observed_mean, _popcount
 from countdiag.simulate import _binomial_paths, _poisson_paths
 from countdiag.simulate import _markov_mask_from_uniforms
+from countdiag.series import _pack_mask, _unpack_mask
 
 from conftest import (
     binomial_lag_closed_form,
@@ -118,12 +119,12 @@ class TestSampleFactorialMoments:
         mask[:, : data.draw(st.integers(0, T))] = 0  # some prefixes fully masked
         ends = sorted(data.draw(st.sets(st.integers(1, T), min_size=1)))
         m = data.draw(st.integers(1, 3))
-        got = Tally(values.copy(), ends).moments(mask, m)
+        got = Tally(values.copy(), ends).moments(_pack_mask(mask), m)
         assert got.shape == (m, rows, len(ends))
         for e, end in enumerate(ends):
-            want = Tally(values[:, :end].copy(), [end]).moments(mask[:, :end], m)
+            want = Tally(values[:, :end].copy(), [end]).moments(_pack_mask(mask[:, :end]), m)
             assert np.array_equal(got[..., e], want[..., 0], equal_nan=True)
-        one_row = Tally(values[0].copy(), ends).moments(mask[0], m)
+        one_row = Tally(values[0].copy(), ends).moments(_pack_mask(mask[0]), m)
         assert np.array_equal(one_row, got[:, 0], equal_nan=True)
 
     @pytest.mark.parametrize("ends", [[], [0], [3, 3], [2, 1], [6], [[1, 2]]])
@@ -136,7 +137,8 @@ class TestSampleFactorialMoments:
         R, T = 10_000, 200
         rng = Seed(314).generator()
         x = _poisson_paths(3.0, 0.5, T, R, rng).astype(np.float64)
-        mask = _markov_mask_from_uniforms(rng.random((R, T)), 0.8, 0.6).astype(np.float64)
+        mask = _unpack_mask(_markov_mask_from_uniforms(rng.random((R, T)), 0.8, 0.6), T)
+        mask = mask.astype(np.float64)
         n_obs = mask.sum(axis=1)
         for k in (1, 2, 3):
             est = (mask * falling_array(x, k)).sum(axis=1) / n_obs
@@ -147,7 +149,7 @@ class TestSampleFactorialMoments:
         T = 100_000
         rng = Seed(600).generator()
         x = _poisson_paths(3.0, 0.5, T, 1, rng)[0]
-        mask = _markov_mask_from_uniforms(rng.random(T), 0.8, 0.6)
+        mask = _unpack_mask(_markov_mask_from_uniforms(rng.random(T), 0.8, 0.6), T)
         muhat = sample_factorial_moments(CountSeries(x, mask), 1)
         # batch-means SE of the ratio estimator
         n_batches = 250
@@ -177,7 +179,7 @@ class TestTallyKernel:
             mask[(0,) * (len(lead) - 1)] = 0  # one row with nothing observed
         ends = data.draw(st.just([T]) | st.sets(st.integers(1, T), min_size=1).map(sorted))
         m = data.draw(st.integers(1, 3))
-        got = Tally(values.copy(), ends).moments(mask, m)
+        got = Tally(values.copy(), ends).moments(_pack_mask(mask), m)
         want = reference_factorial_moments(values, mask, m, ends)
         assert got.shape == want.shape == (m,) + lead + (len(ends),)
         assert np.array_equal(got, want, equal_nan=True)
@@ -187,9 +189,9 @@ class TestTallyKernel:
         x = _poisson_paths(3.0, 0.5, 300, 50, rng)
         tally = Tally(x.copy(), [40, 200, 300])
         for tau, r in ((0.9, 0.0), (0.6, 0.5), (0.3, 0.8)):
-            mask = _markov_mask_from_uniforms(rng.random((50, 300)), tau, r)
+            mask = _unpack_mask(_markov_mask_from_uniforms(rng.random((50, 300)), tau, r), 300)
             want = reference_factorial_moments(x, mask, 3, [40, 200, 300])
-            assert np.array_equal(tally.moments(mask, 3), want, equal_nan=True)
+            assert np.array_equal(tally.moments(_pack_mask(mask), 3), want, equal_nan=True)
 
     def test_tally_overwrites_int64_counts_only(self):
         x = np.array([[3, 1, 4], [1, 5, 9]])
@@ -242,13 +244,86 @@ class TestTallyKernel:
         # above it, and the kept-aside counts cost three int64 each.
         rng = np.random.default_rng(6)
         values = _poisson_paths(1e4, 0.5, 1000, 2048, rng)
-        mask = _markov_mask_from_uniforms(rng.random((2048, 1000)), 0.8, 0.3)
+        mask = _unpack_mask(_markov_mask_from_uniforms(rng.random((2048, 1000)), 0.8, 0.3), 1000)
+        words = _pack_mask(mask)
         for ends, bound in (([1000], 4), ([100, 250, 500, 1000], 8)):
             # the measured call includes the copy that the tally overwrites
-            got, peak = self._peak_bytes(lambda: Tally(values.copy(), ends).moments(mask, 3))
+            got, peak = self._peak_bytes(lambda: Tally(values.copy(), ends).moments(words, 3))
             assert peak < bound * (values.nbytes + mask.nbytes)
             want = reference_factorial_moments(values, mask, 3, ends)
             assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestTallyLayouts:
+    """Counts that span at most 64 values are read from bit planes, any others
+    from histogram keys; both give the elementwise loop's moments."""
+
+    @staticmethod
+    def _rows(span, rows=6, T=150, lo=7, seed=0):
+        rng = np.random.default_rng(seed)
+        values = lo + rng.integers(0, span, size=(rows, T))
+        values[0, :2] = lo, lo + span - 1  # the span is exactly ``span`` values
+        mask = (rng.random((rows, T)) < 0.7).astype(np.int8)
+        return values, mask
+
+    @pytest.mark.parametrize("span, planes", [(1, True), (64, True), (65, False)])
+    @pytest.mark.parametrize("ends", [[150], [1, 64, 100, 128, 150]])
+    def test_span_of_64_values_picks_planes(self, span, planes, ends):
+        values, mask = self._rows(span)
+        tally = Tally(values.copy(), ends)
+        assert hasattr(tally, "planes") == planes
+        got = tally.moments(_pack_mask(mask), 3)
+        want = reference_factorial_moments(values, mask, 3, ends)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_one_far_count_moves_a_chunk_onto_keys(self):
+        values, mask = self._rows(20)
+        ends = [50, 150]
+        assert hasattr(Tally(values.copy(), ends), "planes")
+        values[3, 77] = 10**6
+        mask[3, 77] = 1
+        tally = Tally(values.copy(), ends)
+        assert not hasattr(tally, "planes")
+        got = tally.moments(_pack_mask(mask), 3)
+        want = reference_factorial_moments(values, mask, 3, ends)
+        assert got[0, 3, 1] == want[0, 3, 1]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("span", [30, 200])
+    def test_ends_off_word_bounds_and_a_longer_mask(self, span):
+        # the mask runs 70 steps past the counts, into words the tally never spans
+        values, mask = self._rows(span, T=300, seed=1)
+        ends = [1, 63, 65, 129, 200, 230]
+        counts = values[:, :230]
+        tally = Tally(counts.copy(), ends)
+        assert hasattr(tally, "planes") == (span <= 64)
+        got = tally.moments(_pack_mask(mask), 2)
+        want = reference_factorial_moments(counts, mask[:, :230], 2, ends)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 1000])
+    def test_pack_unpack_round_trip(self, T):
+        mask = (np.random.default_rng(T).random((3, 2, T)) < 0.5).astype(np.int8)
+        words = _pack_mask(mask)
+        assert words.dtype == np.dtype("<u8") and words.shape == (3, 2, -(-T // 64))
+        for i, j, t in ((0, 0, 0), (2, 1, T - 1), (1, 0, T // 2)):
+            assert (int(words[i, j, t // 64]) >> (t % 64)) & 1 == mask[i, j, t]
+        assert all(int(w) >> (T % 64) == 0 for w in words[..., -1].ravel() if T % 64)
+        back = _unpack_mask(words, T)
+        assert back.dtype == np.int8 and np.array_equal(back, mask)
+
+    @pytest.mark.parametrize("bitwise_count", [True, False])
+    def test_popcount_equals_a_plain_loop(self, monkeypatch, bitwise_count):
+        if not bitwise_count:
+            monkeypatch.delattr(np, "bitwise_count", raising=False)
+        elif not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy before 2.0 has no bitwise_count")
+        rng = np.random.default_rng(9)
+        words = rng.integers(0, 2**64, size=(3, 40), dtype=np.uint64, endpoint=False)
+        words[0, :3] = 0, 2**64 - 1, 2**63
+        got = _popcount(words)
+        assert got.shape == words.shape
+        assert got.tolist() == [[bin(int(w)).count("1") for w in row] for row in words]
 
 
 class TestObservedMean:

@@ -21,6 +21,7 @@ from countdiag import (
     simulate_poi_inar1,
 )
 from countdiag import simulate
+from countdiag.series import _unpack_mask
 from countdiag.simulate import (
     _binomial_paths,
     _binomial_rows,
@@ -209,7 +210,8 @@ class TestPinnedStreams:
         assert _sha256(mask) == digest
 
     def test_batched_mask(self):
-        mask = _markov_mask_from_uniforms(np.random.default_rng(7).random((3, 200)), 0.8, 0.6)
+        u = np.random.default_rng(7).random((3, 200))
+        mask = _unpack_mask(_markov_mask_from_uniforms(u, 0.8, 0.6), 200)
         assert mask[:, :10].tolist() == [
             [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
             [0, 0, 0, 1, 1, 1, 1, 0, 0, 1],
@@ -278,7 +280,7 @@ _EDGE_U = np.random.default_rng(3).random((4, 30))
 
 def _assert_equals_reference_latch(u, tau, r):
     expected = reference_markov_mask(u, tau, r)
-    got = _markov_mask_from_uniforms(u, tau, r)
+    got = _unpack_mask(_markov_mask_from_uniforms(u, tau, r), u.shape[-1])
     assert got.dtype == expected.dtype == np.int8
     assert got.shape == expected.shape
     assert got.flags.c_contiguous and got.flags.writeable
@@ -310,7 +312,7 @@ class TestMaskKernel:
         u = np.full(100_000, 0.5)
         u[0] = first
         assert tau * (1.0 - r) <= 0.5 < tau + (1.0 - tau) * r
-        mask = _markov_mask_from_uniforms(u, tau, r)
+        mask = _unpack_mask(_markov_mask_from_uniforms(u, tau, r), u.size)
         assert mask.dtype == np.int8 and mask.shape == u.shape
         assert np.all(mask == state)
 
