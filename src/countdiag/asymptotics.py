@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, NumericalDegeneracyError, ParameterError
-from .series import _check, _integer
+from .series import _as_1d, _check, _integer
 
 #: Observation probabilities below this are rejected as numerically meaningless.
 MIN_TAU = 0.01
@@ -63,9 +63,7 @@ class SequenceMaskLaw:
 
     def __init__(self, tau: float, lagged_products):
         _check("tau", tau)
-        vals = np.asarray(lagged_products, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ParameterError("lagged products must be a one-dimensional sequence")
+        vals = _as_1d(lagged_products, "lagged products").astype(np.float64, copy=False)
         bad = np.flatnonzero(~((vals >= 0.0) & (vals <= tau)))  # NaN fails both
         if bad.size:
             h = bad[0] + 1

@@ -5,6 +5,7 @@ dispersion/skewness hypothesis tests."""
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
@@ -299,6 +300,8 @@ def test_from_params(
     plug-in parameters.  ``statistic`` may be NaN if only the critical values
     are of interest (the decision is then "retain").
     """
+    if isinstance(statistic, bool) or not isinstance(statistic, numbers.Real):
+        raise ParameterError(f"statistic must be a real number, got {statistic!r}")
     if sided not in ("two", "upper", "lower"):
         raise ParameterError(f"sided must be 'two', 'upper' or 'lower', got {sided!r}")
     spec = INDEX_KINDS[f"{family}-{kind}"]  # first, so a bad family fails as its kind
@@ -345,9 +348,14 @@ def test_indices(
     A lower critical value below 0, the least value of every index, is
     flagged with a warning unless the test is upper-sided.
     """
+    if isinstance(kinds, str):
+        raise ParameterError(f"kinds must list index kinds, got the string {kinds!r}")
+    kinds = tuple(kinds)  # read three times below, so a generator is read once here
     specs = [INDEX_KINDS[f"{null.family}-{kind}"] for kind in kinds]
     if not specs:
         raise ParameterError("kinds must list at least one index kind")
+    if len(set(kinds)) < len(kinds):
+        raise ParameterError(f"kinds must list each index kind once, got {list(kinds)}")
     if null.family == FAMILY_BINOMIAL:
         above = np.flatnonzero((series.mask == 1) & (series.values > null.n))
         if above.size:

@@ -20,7 +20,7 @@ from .errors import (
     FileAccessError,
     ParameterError,
 )
-from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _check, _pack_mask
+from .series import Bar1, CountSeries, MissingSpec, ModelSpec, PoiInar1, _as_1d, _check, _pack_mask
 from .simulate import _binomial_paths, _markov_mask_from_uniforms, _poisson_paths
 from .moments import Tally
 from .asymptotics import IndexAsymptotics
@@ -429,9 +429,7 @@ def emit_curves(
     """
     if taus is None:
         taus = np.linspace(*CURVE_TAUS)
-    taus = np.asarray(taus, dtype=np.float64)
-    if taus.ndim != 1:
-        raise ParameterError(f"taus must be one-dimensional, got shape {taus.shape}")
+    taus = _as_1d(taus, "taus").astype(np.float64, copy=False)
     if taus.size == 0 or taus.min() < 0.25 or taus.max() > 1.0:
         raise ParameterError("tau range must lie within [0.25, 1]")
     taus = _axis("tau", taus.tolist())

@@ -11,7 +11,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateSeriesError, NumericalDegeneracyError, ParameterError
-from .series import CountSeries, _check
+from .series import CountSeries, _as_1d, _check
 from .moments import _observed_mean
 
 
@@ -61,7 +61,7 @@ def estimate_r(mask) -> float:
         If the mask is constant; dependence is then undefined and the
         conventional override is r = 0.
     """
-    m = np.asarray(mask, dtype=np.float64)
+    m = _as_1d(mask, "mask").astype(np.float64, copy=False)
     if m.size < 2:
         raise ParameterError("mask must contain at least two elements")
     bad = np.flatnonzero((m != 0.0) & (m != 1.0))
@@ -143,9 +143,9 @@ def durbin_levinson_pacf(acf_values) -> np.ndarray:
         If a step produces |phi_kk| >= 1 or a non-positive prediction-error
         term, i.e. the implied Toeplitz system is singular.
     """
-    rho = np.asarray(acf_values, dtype=np.float64)
-    if rho.ndim != 1 or rho.size < 1:
-        raise ParameterError("need a one-dimensional sequence of at least one lag")
+    rho = _as_1d(acf_values, "autocorrelations").astype(np.float64, copy=False)
+    if rho.size == 0:
+        raise ParameterError("autocorrelations must list at least one lag")
     bad = np.flatnonzero(~np.isfinite(rho))
     if bad.size:
         i = bad[0]
@@ -180,9 +180,7 @@ def acf_critical_band(tau_lag, T: int, alpha: float = 0.05) -> np.ndarray:
     """
     _check("T", T)
     z = _two_sided_z(alpha)
-    tl = np.asarray(tau_lag, dtype=np.float64)
-    if tl.ndim != 1:
-        raise ParameterError(f"tau_lag must be one-dimensional, got shape {tl.shape}")
+    tl = _as_1d(tau_lag, "tau_lag").astype(np.float64, copy=False)
     bad = np.flatnonzero(~((tl >= 0.0) & (tl <= 1.0)))  # NaN fails both
     if bad.size:
         l = bad[0]

@@ -9,7 +9,8 @@ from math import comb, factorial, perm, prod
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterError
-from .series import _NONE_OBSERVED, CountSeries, _check, _integer, _pack_mask, _unpack_mask
+from .series import _NONE_OBSERVED, CountSeries, _as_1d_integers, _check, _integer
+from .series import _pack_mask, _unpack_mask
 
 
 #: Most count values a tally holds as bit planes: 64 planes of packed words
@@ -61,10 +62,8 @@ class Tally:
     def __init__(self, counts, ends):
         counts = np.asarray(counts)
         T = counts.shape[-1]
-        bounds = np.asarray(ends, dtype=np.intp)
-        if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or bounds[-1] > T or np.any(
-            np.diff(bounds) <= 0
-        ):
+        bounds = _as_1d_integers(ends, "prefix ends").astype(np.intp)
+        if bounds[0] < 1 or bounds[-1] > T or np.any(np.diff(bounds) <= 0):
             raise ParameterError(
                 f"prefix ends must increase strictly within 1..{T}, got {bounds.tolist()}"
             )
@@ -161,8 +160,7 @@ class Tally:
         moment equals the elementwise masked sum bit for bit there, on either
         layout.
         """
-        if m < 1:
-            raise ParameterError(f"max order must be >= 1, got {m}")
+        _check("max order", m, "lag")
         rows, S = prod(self.lead), self.segments
         groups = rows * S
         hist, group, value = self._histogram(words)

@@ -73,16 +73,26 @@ def _integer(name: str, value):
     raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_1d(x, name: str, holds: str = "real numbers") -> np.ndarray:
+    """``x`` as a one-dimensional array of booleans, integers or floats, in its
+    own dtype, else a ParameterError naming ``name`` (any other dtype: "must hold ``holds``")."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # numpy's inhomogeneous shape
+        raise ParameterError(f"{name} must be one-dimensional, got a ragged sequence") from None
+    if arr.ndim != 1:
+        raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":  # an object array holds, say, ints above 64 bits
+        raise ParameterError(f"{name} must hold {holds}, got dtype {arr.dtype}")
+    return arr
+
+
 def _as_1d_integers(x, name: str) -> np.ndarray:
     """``x`` as a non-empty one-dimensional array of integers that int64 holds,
     in its own dtype, else a ParameterError naming ``name``."""
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ParameterError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    arr = _as_1d(x, name, "64-bit integers")
     if arr.size == 0:
         raise ParameterError(f"{name} must contain at least one element")
-    if arr.dtype.kind not in "biuf":  # an object array holds, say, ints above 64 bits
-        raise ParameterError(f"{name} must hold 64-bit integers, got dtype {arr.dtype}")
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or not np.all(arr == np.floor(arr)):
             raise ParameterError(f"{name} must contain integers")

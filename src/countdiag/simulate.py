@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ParameterError
 from .series import (
     Bar1, CountSeries, MissingSpec, PoiInar1, Seed, MASK_SENTINEL, _check, _pack_mask, _thinnings,
-    _unpack_mask,
+    _as_1d_integers, _unpack_mask,
 )
 
 
@@ -344,8 +344,8 @@ def apply_mask(series: CountSeries, mask) -> CountSeries:
     estimators only ever touch mask-1 positions.  A fully masked result is
     accepted here and rejected by the estimators that cannot handle it.
     """
-    mask = np.asarray(mask)
-    if mask.shape != series.values.shape:
+    mask = _as_1d_integers(mask, "mask")
+    if mask.size != series.T:
         raise ParameterError(
             f"mask length {mask.size} does not match series length {series.T}"
         )

@@ -24,8 +24,9 @@ import tempfile
 from pathlib import Path
 
 from countdiag import (
-    CountSeries, GridConfig, MissingSpec, ParameterError, PoiInar1, Seed, emit_curves, run_grid,
-    sample_factorial_moments, simulate_markov_mask, simulate_poi_inar1,
+    CountSeries, GridConfig, MissingSpec, ParameterError, PoiInar1, Seed, durbin_levinson_pacf,
+    emit_curves, estimate_r, run_grid, sample_factorial_moments, simulate_markov_mask,
+    simulate_poi_inar1,
 )
 from countdiag.moments import Tally
 
@@ -194,11 +195,21 @@ def library_checks() -> None:
     # one family-and-bound rule: a Poisson grid takes no n, and a binomial
     # one with n=None (no n given) takes the standard axis
     assert GridConfig("binomial", n=None, T=50, replications=8).n == (10, 25)
-    for name, call in (
+    refused = [
         ("chunk_size=1.5", lambda: run_grid(config, chunk_size=1.5)),
         ("a Poisson grid with n=10", lambda: GridConfig("poisson", n=10, T=50, replications=8)),
         ("taus=[[0.5, 0.6]]", lambda: emit_curves("poisson-dispersion", taus=[[0.5, 0.6]])),
-    ):
+    ]
+    # one rule for every array argument: a ragged list (on which numpy raises
+    # inside np.asarray), a list of strings and a 2-D mask are typed errors
+    for array in ([[0, 1], [1, 0, 1]], ["0", "1", "1"], [[0, 1, 1], [1, 0, 1]]):
+        refused += [
+            (f"values={array}", lambda a=array: CountSeries(a)),
+            (f"mask={array}", lambda a=array: CountSeries([1, 2, 3], a)),
+            (f"estimate_r({array})", lambda a=array: estimate_r(a)),
+            (f"durbin_levinson_pacf({array})", lambda a=array: durbin_levinson_pacf(a)),
+        ]
+    for name, call in refused:
         try:
             call()
         except ParameterError:

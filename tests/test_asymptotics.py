@@ -473,7 +473,7 @@ class TestSequenceMaskLaw:
 
     def test_products_must_be_one_dimensional(self):
         with pytest.raises(
-            ParameterError, match="^lagged products must be a one-dimensional sequence$"
+            ParameterError, match=r"^lagged products must be one-dimensional, got shape \(1, 1\)$"
         ):
             SequenceMaskLaw(0.8, [[0.5]])
 

@@ -574,6 +574,12 @@ class TestTestIndex:
         with pytest.raises(DegenerateSeriesError, match="^series has no observed positions$"):
             run_test_indices(CountSeries([3, 4, 5], [0, 0, 0]), null, ("dispersion", "skewness"))
 
+    def test_kinds_may_be_a_generator(self):
+        series = simulate_poi_inar1(PoiInar1(3.0, 0.5), 300, Seed(5))
+        kinds = (kind for kind in ("dispersion", "skewness"))
+        reports = run_test_indices(series, NullSpec("poisson"), kinds)
+        assert [r.kind for r in reports] == ["poisson-dispersion", "poisson-skewness"]
+
     def test_no_kinds_is_an_error_before_the_fit(self):
         unfittable = CountSeries([3, 4, 5], [0, 0, 0])
         with pytest.raises(ParameterError, match="^kinds must list at least one index kind$"):

@@ -287,7 +287,7 @@ class TestDurbinLevinson:
 
     def test_not_one_dimensional_rejected(self):
         with pytest.raises(
-            ParameterError, match="^need a one-dimensional sequence of at least one lag$"
+            ParameterError, match=r"^autocorrelations must be one-dimensional, got shape \(1, 1\)$"
         ):
             durbin_levinson_pacf([[0.5]])
 

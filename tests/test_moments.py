@@ -127,7 +127,7 @@ class TestSampleFactorialMoments:
         one_row = Tally(values[0].copy(), ends).moments(_pack_mask(mask[0]), m)
         assert np.array_equal(one_row, got[:, 0], equal_nan=True)
 
-    @pytest.mark.parametrize("ends", [[], [0], [3, 3], [2, 1], [6], [[1, 2]]])
+    @pytest.mark.parametrize("ends", [[], [0], [3, 3], [2, 1], [6], [[1, 2]], ["3"], [2.7]])
     def test_prefix_ends_validated(self, ends):
         with pytest.raises(ParameterError, match="prefix ends"):
             Tally(np.ones((2, 5), dtype=np.int64), ends)

@@ -7,6 +7,7 @@ import pytest
 import countdiag as cd
 from countdiag import Bar1, CountSeries, MissingSpec, ParameterError, PoiInar1, Seed
 from countdiag.missingness import _two_sided_z
+from countdiag.moments import Tally
 
 
 class TestCountSeries:
@@ -216,6 +217,39 @@ BAD_VALUES = [
     (cd.simulate_bar1, (Bar1(10, 0.3, 0.5), "5", Seed(1)), "T"),
     (cd.simulate_markov_mask, (MASK, True, Seed(1)), "T"),
     (cd.Scenario, (POISSON, MASK, "5", 8, 1), "T"),
+    (cd.sample_factorial_moments, (CountSeries([1, 2]), 2.0), "max order"),
+    (cd.sample_factorial_moments, (CountSeries([1, 2]), True), "max order"),
+    (cd.sample_factorial_moments, (CountSeries([1, 2]), "2"), "max order"),
+    (Tally([1, 2], [2]).moments, (np.ones(1, dtype=np.uint64), 2.0), "max order"),
+    *[
+        (cd.test_from_params, ("dispersion", "poisson", 3.0, 0.5, 0.8, 0.3, 100, None, 0.05, bad),
+         "statistic")
+        for bad in ("1.0", None, True)
+    ],
+    (cd.test_indices, (CountSeries([1, 2, 3]), cd.NullSpec("poisson"), "dispersion"), "kinds"),
+    (cd.test_indices, (CountSeries([1, 2, 3]), cd.NullSpec("poisson"), ["dispersion"] * 2),
+     "kinds"),
+    (cd.durbin_levinson_pacf, ([],), "autocorrelations"),
+]
+
+#: Each array argument at its entry point, with ``...`` where the array goes.
+ARRAYS = [
+    (CountSeries, (...,), "values"),
+    (CountSeries, ([1, 2], ...), "mask"),
+    (cd.apply_mask, (CountSeries([1, 2]), ...), "mask"),
+    (cd.estimate_r, (...,), "mask"),
+    (cd.durbin_levinson_pacf, (...,), "autocorrelations"),
+    (cd.acf_critical_band, (..., 10), "tau_lag"),
+    (cd.SequenceMaskLaw, (0.8, ...), "lagged products"),
+    (cd.emit_curves, ("poisson-dispersion", 0.5, (0.0,), ...), "taus"),
+    (Tally, (np.ones(5, dtype=np.int64), ...), "prefix ends"),
+]
+#: A ragged, a string, a complex, a 0-d and a 2-D array.
+BAD_ARRAYS = [[[1], [1, 0]], ["a", "b"], [0.5 + 1j], 1, [[0, 1, 1], [1, 0, 1]]]
+BAD_VALUES += [
+    (entry, tuple(bad if arg is ... else arg for arg in args), name)
+    for entry, args, name in ARRAYS
+    for bad in BAD_ARRAYS
 ]
 
 
@@ -223,3 +257,8 @@ BAD_VALUES = [
 def test_bad_value_is_parameter_error_naming_it(entry, args, name):
     with pytest.raises(ParameterError, match=f"^{name} must "):
         entry(*args)
+
+
+def test_empty_lists_where_an_array_may_be_empty():
+    assert cd.SequenceMaskLaw(0.8, []).lagged_product(1) == pytest.approx(0.64)
+    assert cd.acf_critical_band([], 10).size == 0
